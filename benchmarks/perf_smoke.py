@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""CI gate over a smoke-sweep report: analytic tiers fired, wall sane.
+"""CI gate over a smoke-sweep report: analytic tier fired, events capped, wall sane.
 
 Usage:
     PYTHONPATH=src python benchmarks/run_all.py --smoke --fresh \
@@ -8,24 +8,30 @@ Usage:
     PYTHONPATH=src python benchmarks/perf_smoke.py BENCH_smoke.json \
         --update-baseline   # re-record the archived wall baseline
 
-Two checks:
+Three checks:
 
 1. **Tier liveness** — the analytic engine must have carried real work
-   in the quick sweep: ``fastpath_batches + contended_windows +
-   collective_closed_forms > 0`` in the report's engine totals.  A
-   refactor that silently widens an eligibility gate until nothing
-   commits analytically turns every sweep into a pure event-path run;
-   wall time regresses quietly and bit-identity tests can't see it.
-   This check can.
+   in the quick sweep: ``analytic_flows > 0`` and ``contended_windows
+   > 0``, each, in the report's engine totals.  A refactor that
+   silently widens an eligibility gate until nothing commits
+   analytically turns every sweep into a pure event-path run; wall
+   time regresses quietly and bit-identity tests can't see it.  This
+   check can, and the second counter proves that contended windows
+   (not just idle-link flows) still take the closed form.
 
-2. **Wall regression guard** — total target wall must stay within
-   ``REGRESSION_FACTOR`` (1.2 = +20%) of the archived baseline in
-   ``benchmarks/results/perf_smoke_baseline.json``.  Wall clocks vary
-   across machines, so the guard only *fails* when both the event
-   totals (same workload) and the host fingerprint (same machine)
+2. **Event ceiling** — ``engine_totals.processed`` must not exceed the
+   ``engine_processed`` recorded in
+   ``benchmarks/results/perf_smoke_baseline.json``.  The count is
+   deterministic, so this gate fails on any host: a change that makes
+   the scheduler do more work has to re-record the baseline and say so.
+
+3. **Wall regression guard** — total target wall must stay within
+   ``REGRESSION_FACTOR`` (1.2 = +20%) of the archived baseline.  Wall
+   clocks vary across machines, so the guard only *fails* when both the
+   event totals (same workload) and the host fingerprint (same machine)
    match the record — any mismatch downgrades to a warning, since a
    changed workload or a new runner needs ``--update-baseline``
-   anyway.
+   anyway.  Wall time is a trend line; check 2 is the hard gate.
 """
 
 from __future__ import annotations
@@ -49,8 +55,9 @@ BASELINE = REPO / "benchmarks" / "results" / "perf_smoke_baseline.json"
 #: Total smoke wall may grow by at most this factor over the baseline.
 REGRESSION_FACTOR = 1.2
 
-#: These SimStats counters prove the analytic tiers committed work.
-TIER_COUNTERS = ("fastpath_batches", "contended_windows", "collective_closed_forms")
+#: Each of these SimStats counters must be positive: the analytic tier
+#: committed flows, and some of them priced a contended window.
+TIER_COUNTERS = ("analytic_flows", "contended_windows")
 
 
 def main(argv=None) -> int:
@@ -66,9 +73,10 @@ def main(argv=None) -> int:
 
     fired = {k: totals.get(k, 0) for k in TIER_COUNTERS}
     print("tier counters:", fired)
-    if sum(fired.values()) <= 0:
-        print("FAIL: no analytic tier committed any work "
-              f"({' + '.join(TIER_COUNTERS)} == 0)", file=sys.stderr)
+    idle = [k for k, v in fired.items() if v <= 0]
+    if idle:
+        print(f"FAIL: the analytic tier committed no work ({', '.join(idle)} == 0)",
+              file=sys.stderr)
         return 1
 
     if args.update_baseline:
@@ -90,8 +98,16 @@ def main(argv=None) -> int:
     base = read_json_artifact(BASELINE)
     if "schema" in base:
         read_json_artifact(BASELINE, kind="perf_baseline")
+    processed = totals.get("processed", 0)
+    ceiling = base["engine_processed"]
+    if processed > ceiling:
+        print(f"FAIL: {processed} events processed, above the recorded ceiling "
+              f"{ceiling} ({processed - ceiling:+d}); a change that adds scheduler "
+              "work must re-record the baseline", file=sys.stderr)
+        return 1
+    print(f"ok: {processed} events processed (ceiling {ceiling})")
     limit = base["total_target_wall_seconds"] * REGRESSION_FACTOR
-    same_workload = base.get("engine_processed", 0) == totals.get("processed", 0)
+    same_workload = ceiling == processed
     same_host = base.get("host") == platform.platform()
     verdict = (f"wall {wall:.3f}s vs baseline "
                f"{base['total_target_wall_seconds']:.3f}s "

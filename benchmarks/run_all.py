@@ -18,7 +18,7 @@ The sweep runs each experiment in :mod:`repro.reporting.experiments`
 (in parallel across a process pool, memoized under
 ``benchmarks/.bench_cache/`` keyed by a source-tree fingerprint) and
 writes a JSON report with per-target wall-times and engine event
-counters — ``fastpath_batches > 0`` is the proof that the batched
+counters — ``analytic_flows > 0`` is the proof that the analytic
 transfer fast paths carried the sweep.  Unless ``--no-tier1`` is given
 (or ``--smoke``, which implies it), it also times the tier-1 pytest
 suite and records the speedup against the pre-optimization baseline.
@@ -295,23 +295,18 @@ def main(argv=None) -> int:
         f"{len(report.targets)} targets in {sweep_wall:.1f}s wall "
         f"({report.cache_hits} cached, {report.cache_misses} run, "
         f"pool={report.jobs}); engine: {totals.get('processed', 0)} events, "
-        f"{totals.get('fastpath_batches', 0)} batched pipelines "
-        f"(~{totals.get('fastpath_events_saved', 0)} events elided)"
+        f"{totals.get('analytic_flows', 0)} analytic flows"
     )
     if args.profile:
-        print(f"{'target':<12} {'run s':>8} {'events':>9} {'saved':>8} "
-              f"{'batch':>6} {'flows':>7} {'contend':>8} {'collect':>8} {'vec':>8}")
+        print(f"{'target':<12} {'run s':>8} {'events':>9} {'flows':>7} {'contend':>8}")
         for t in report.targets:
             prof = t.profile
             if not prof:
                 continue
             tiers, ev = prof["tiers"], prof["events"]
             print(f"{t.exp_id:<12} {prof['phases']['run']:>8.3f} "
-                  f"{ev['processed']:>9} {ev['saved']:>8} "
-                  f"{tiers['fastpath_batches']:>6} {tiers['analytic_flows']:>7} "
-                  f"{tiers['contended_windows']:>8} "
-                  f"{tiers['collective_closed_forms']:>8} "
-                  f"{tiers['vectorised_events']:>8}")
+                  f"{ev['processed']:>9} {tiers['analytic_flows']:>7} "
+                  f"{tiers['contended_windows']:>8}")
     if "crossover" in doc:
         xo = doc["crossover"]
         er, rate = xo["eager_rendezvous"], xo["rc_ud_rate"]

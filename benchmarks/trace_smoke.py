@@ -8,9 +8,9 @@ Four checks, any failure exits non-zero:
 
 1. **Bit-identical timestamps** — the traced run's virtual end time
    equals the untraced run's exactly (spans only read ``sim.now``).
-2. **Fast-path gating** — the untraced run batches pipelines
-   (``fastpath_batches > 0``); the traced run takes the event-accurate
-   path (``fastpath_batches == 0``), so its spans map onto real
+2. **Fast-path gating** — the untraced run commits analytic flows
+   (``analytic_flows > 0``); the traced run takes the event-accurate
+   path (``analytic_flows == 0``), so its spans map onto real
    scheduler events.
 3. **Span/event agreement** — the tracer's ``rdma_write`` span count
    equals the number of ``rdma_write`` wire-hold events an attached
@@ -62,9 +62,9 @@ def main(argv=None) -> int:
     ref = _job()
     ref.run(_program())
     ref_end = ref.sim.now
-    ref_batches = ref.sim.stats.fastpath_batches
-    if ref_batches <= 0:
-        failures.append(f"untraced run took no batched pipelines ({ref_batches})")
+    ref_flows = ref.sim.stats.analytic_flows
+    if ref_flows <= 0:
+        failures.append(f"untraced run committed no analytic flows ({ref_flows})")
 
     # Event-accurate reference: event Trace attached (also disarms the
     # fast paths), counting the rdma_write wire holds.
@@ -85,9 +85,9 @@ def main(argv=None) -> int:
         failures.append(
             f"span-traced end time diverged: {job.sim.now!r} != {ref_end!r}"
         )
-    if job.sim.stats.fastpath_batches != 0:
+    if job.sim.stats.analytic_flows != 0:
         failures.append(
-            f"span-traced run still batched {job.sim.stats.fastpath_batches} pipelines"
+            f"span-traced run still committed {job.sim.stats.analytic_flows} analytic flows"
         )
     # The verbs layer opens one "ib" span per work request; the link
     # layer reuses the spec label for its per-hop crossings, so filter
@@ -110,8 +110,8 @@ def main(argv=None) -> int:
 
     snap = snapshot_job(job)
     print(
-        f"untraced: end={ref_end:.9f}s batches={ref_batches}\n"
-        f"traced:   end={job.sim.now:.9f}s batches=0 "
+        f"untraced: end={ref_end:.9f}s analytic_flows={ref_flows}\n"
+        f"traced:   end={job.sim.now:.9f}s analytic_flows=0 "
         f"spans={len(tracer.spans)} instants={len(tracer.instants)}\n"
         f"rdma_write spans={span_writes} events={event_writes}\n"
         f"metrics keys={len(snap)} "

@@ -12,7 +12,7 @@ output:
 
 Each record carries the target's wall-time and the engine's event
 counters (:class:`repro.simulator.core.SimStats`), so a sweep doubles
-as evidence that the batched fast paths fired (``fastpath_batches``)
+as evidence that the analytic fast paths fired (``analytic_flows``)
 and as a coarse regression guard on scheduler workload.
 """
 
@@ -68,26 +68,19 @@ def target_cache_key(
     ).hexdigest()
 
 
-#: Per-tier counter names exported by ``--profile`` (subset of
-#: ``SimStats``): tier-0/1 quiescent batches, tier-2 contended-window
-#: flows, closed-form collective rounds, and the vectorised event lane.
-PROFILE_TIER_KEYS = (
-    "fastpath_batches",
-    "analytic_flows",
-    "contended_windows",
-    "collective_closed_forms",
-    "vectorised_events",
-)
+#: Analytic-tier counter names exported by ``--profile`` (subset of
+#: ``SimStats``): closed-form flows, and the subset whose link grant
+#: queued behind other traffic.
+PROFILE_TIER_KEYS = ("analytic_flows", "contended_windows")
 
 
 def _profile_from_stats(stats: Dict[str, int]) -> Dict[str, object]:
-    """The per-tier events-processed-vs-saved breakdown of one run."""
+    """The analytic-tier and scheduler-event breakdown of one run."""
     return {
         "tiers": {k: stats.get(k, 0) for k in PROFILE_TIER_KEYS},
         "events": {
             "scheduled": stats.get("scheduled", 0),
             "processed": stats.get("processed", 0),
-            "saved": stats.get("fastpath_events_saved", 0),
             "resumed_fast": stats.get("resumed_fast", 0),
         },
     }

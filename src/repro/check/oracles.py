@@ -1,7 +1,7 @@
 """Invariant checkers over real executions of generated workloads.
 
 ``check_workload`` runs one workload through the three execution modes
-under test — batched fast path, forced event-accurate path, and traced
+under test — analytic fast path, forced event-accurate path, and traced
 event path — and applies every oracle:
 
 1. **heap-matches-reference** — final symmetric-heap bytes, fetched
@@ -36,7 +36,7 @@ from repro.check.runner import RunObservation, run_workload
 from repro.check.workload import Workload
 
 #: Snapshot sections that must be bit-identical across execution modes.
-#: ``engine.*`` is excluded on purpose (fastpath_batches etc. *should*
+#: ``engine.*`` is excluded on purpose (analytic_flows etc. *should*
 #: differ between modes); ``spans.*`` exists only on traced runs.
 _IDENTITY_SECTIONS = ("job", "link", "probe", "protocol", "msg", "health", "faults")
 

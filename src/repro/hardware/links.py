@@ -130,18 +130,6 @@ class LinkDirection:
         """Current failure-log position (pass to :meth:`failed_since`)."""
         return len(self._fail_log)
 
-    @property
-    def idle(self) -> bool:
-        """Up (for every label), unoccupied, and nobody queued — a
-        batched fast path may claim this direction without perturbing
-        any FIFO ordering."""
-        return (
-            not self._down
-            and not self._blocked
-            and self.resource.count == 0
-            and self.resource.queued == 0
-        )
-
 
 class Link:
     """A duplex link with per-direction serialization.
@@ -237,7 +225,7 @@ class TransferSpec:
     def duration(self) -> float:
         """The held time of :meth:`execute` (everything after ``setup``).
 
-        The batched fast paths replay :meth:`execute` in closed form, so
+        The analytic fast paths replay :meth:`execute` in closed form, so
         this must perform the *same float operations in the same order*
         as the event-accurate path — down to the last ulp.
         """
@@ -330,8 +318,8 @@ class AnalyticTransfer:
     same FIFO resources at the same instants as the generator would —
     contended windows price themselves bit-identically — but elides the
     per-hop generator resumes and the setup/hold ``Timeout``
-    allocations, scheduling its instants on the simulator's vectorised
-    wake lane instead.
+    allocations, scheduling its instants as absolute wake-ups on the
+    scheduler heap instead.
 
     Failure semantics mirror ``execute`` exactly: a matching failure at
     request or grant time, or a failure window overlapping the hold,
@@ -371,7 +359,7 @@ class AnalyticTransfer:
         self.contended = False
         if spec.setup:
             self._booting = False
-            w = sim.wake_at_lane(sim.now + spec.setup, name="an-x:setup")
+            w = sim.wake_at(sim.now + spec.setup, name="an-x:setup")
             w.callbacks.append(self._acquire)
         else:
             # No setup leg: ``execute`` requests synchronously at the
@@ -444,7 +432,7 @@ class AnalyticTransfer:
             return
         self._marks = [(d, d.fail_mark) for d in dirs]
         sim = self.sim
-        end = sim.wake_at_lane(sim.now + self.duration, name="an-x:end")
+        end = sim.wake_at(sim.now + self.duration, name="an-x:end")
         end.callbacks.append(self._finish)
 
     def _finish(self, _ev: Event) -> None:
@@ -481,7 +469,7 @@ def analytic_execute(sim: Simulator, spec: TransferSpec) -> Optional[Event]:
     Returns the completion event to yield on, or ``None`` when the
     event path must run (fast paths disabled, a fault plan is armed, or
     a tracer/trace needs the per-event hooks that only ``execute``
-    provides).  Counted into the tier-2 analytic-flow statistics.
+    provides).  Counted into the ``analytic_flows`` statistic.
     """
     if (
         sim.fastpath
@@ -494,9 +482,7 @@ def analytic_execute(sim: Simulator, spec: TransferSpec) -> Optional[Event]:
             # The generator would have raised before its first yield —
             # synchronously, in the caller's frame.  Do the same.
             raise tr.boot_exc
-        st = sim.stats
-        st.analytic_flows += 1
-        st.fastpath_events_saved += 2 + len(tr.dirs)
+        sim.stats.analytic_flows += 1
         return tr.completion
     return None
 

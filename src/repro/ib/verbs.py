@@ -84,7 +84,7 @@ class Verbs:
         self.faults = None
         #: Analytic-write path cache: write paths are pure functions of
         #: (endpoint, local buffer placement, remote region, size,
-        #: remote-HCA hint), so the tier-2 replay reuses one spec (plus
+        #: remote-HCA hint), so the analytic replay reuses one spec (plus
         #: its acquisition order and pipelined duration) per signature.
         #: Keyed by the remote region's rkey (unique per registration),
         #: so a re-registration can never alias a stale path.
@@ -146,7 +146,7 @@ class Verbs:
         remote_hca: Optional[int] = None,
     ) -> Tuple[TransferSpec, "object"]:
         """The cut-through path :meth:`rdma_write` would execute, plus the
-        destination HCA.  Shared with the batched pipeline fast paths so
+        destination HCA.  Shared with the analytic fast paths so
         both compute bit-identical transfer timings."""
         dst_node_id, dst_hca_id = self._remote_endpoint_hca(remote_mr, remote_hca)
         dst_hca = self.hw.nodes[dst_node_id].hcas[dst_hca_id]
@@ -226,7 +226,7 @@ class Verbs:
     def _write_analytic(
         self, ep, local, remote_mr, dst_ptr, nbytes, remote_hca, posted, delivered
     ) -> Optional[Event]:
-        """Tier-2 commit for :meth:`rdma_write`: replay the whole
+        """Analytic commit for :meth:`rdma_write`: replay the whole
         post/acquire/transmit/ack timeline through an
         :class:`~repro.shmem.fastpath.AnalyticFlow` (same instants, same
         FIFO acquisition order, same failure surfacing — see its
@@ -265,9 +265,7 @@ class Verbs:
             posted_ev=posted, delivered_ev=delivered,
             sync_complete=True,
         )
-        st = sim.stats
-        st.analytic_flows += 1
-        st.fastpath_events_saved += 5 + len(dirs)
+        sim.stats.analytic_flows += 1
         return flow.completion
 
     # ----------------------------------------------------------- RDMA read

@@ -8,7 +8,7 @@ counters (``LinkDirection.bytes_moved``), and the fault/health layer
 :class:`MetricsSnapshot` merges all of them under dotted keys::
 
     snap = snapshot_job(job)
-    snap.get("engine.fastpath_batches")
+    snap.get("engine.analytic_flows")
     snap.get("probe.put:direct-gdr.p99")      # latency percentiles
     snap.get("probe.pe0.put:direct-gdr.p50")  # per-PE histograms
     snap.get("link.n0.pcie.gpu0:fwd.bytes")

@@ -9,7 +9,7 @@ paper's Figs 6-12 and Table III reason about.
 
 Emission is pull-free and costless when disabled: every hook guards on
 ``sim.tracer is None`` (one attribute load), nothing is recorded, and
-the batched fast paths stay armed.  Attaching a :class:`SpanTracer`
+the analytic fast paths stay armed.  Attaching a :class:`SpanTracer`
 flips the same gate the event :class:`~repro.simulator.monitor.Trace`
 uses, so a traced run takes the event-accurate path and its spans map
 one-to-one onto real scheduler events — while leaving every simulated
@@ -87,7 +87,7 @@ class SpanTracer:
 
     # ------------------------------------------------------------ lifecycle
     def attach(self, sim: Simulator, label: Optional[str] = None) -> "SpanTracer":
-        """Start observing ``sim``.  Also disarms its batched fast
+        """Start observing ``sim``.  Also disarms its analytic fast
         paths (they elide the very events spans describe)."""
         scope = self._scopes.setdefault(id(sim), len(self._scopes))
         if label is not None:

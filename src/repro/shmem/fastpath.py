@@ -1,124 +1,31 @@
-"""Closed-form replay of the chunked pipeline protocols.
+"""Closed-form replay of single signaled RDMA writes.
 
-The event-accurate pipeline handlers in :mod:`repro.shmem.runtime` and
-:mod:`repro.shmem.proxy` cost ~15-25 scheduler events per chunk.  When
-the simulation is *quiescent* at protocol-dispatch time (ready queue and
-event heap both empty — every other process is blocked on events only
-this operation's completions can trigger), the whole chunk pipeline is
-deterministic and its timing can be computed in closed form, then
-committed as a handful of absolute wake-ups.
-
-The planners below MUST perform the same float operations in the same
-order as the event path — ``TransferSpec.duration()`` exists for exactly
-this reason — so the batched schedule is bit-identical to the
-event-by-event one.  Golden-timing tests in ``tests/test_fastpath.py``
-hold both paths to that standard.
-
-Recurrence (0-indexed chunk ``i``, pipeline depth ``d``):
-
-* copy start: ``cursor`` (previous copy end) until the staging pool
-  runs dry, then additionally waits for the slot recycled by chunk
-  ``i - d``'s ack;
-* copy end ``e_i = start + copy.setup + copy.duration()``;
-* WR posted ``u_i = e_i + rdma_post_overhead`` (put-return point is
-  ``u_{N-1}``);
-* the wire is FIFO with capacity 1, so the write transmits at
-  ``g_i = max(u_i + write.setup, F_{i-1})`` and completes (bytes
-  visible remotely) at ``F_i = g_i + write.duration()``;
-* the ack returns at ``A_i = F_i + rdma_ack_latency``.
+The event path runs one ``rdma_write`` as a generator: a process per
+put, a resume per hop request, and a ``Timeout`` per dispatch, post,
+setup and hold.  :class:`AnalyticFlow` replays that timeline with a
+handful of absolutely-timed wake-ups chained through resource-grant
+callbacks.  It performs the same float operations in the same order as
+the event path (``TransferSpec.duration()`` exists for exactly this
+reason), so its schedule is bit-identical; ``tests/test_fastpath.py``
+runs every scenario with ``sim.fastpath`` on and off to hold it to
+that standard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import LinkDown
 from repro.hardware.links import LinkDirection, TransferSpec
 from repro.simulator import Event, Simulator
 
 
-@dataclass
-class PipelinePlan:
-    """Absolute instants of the externally observable pipeline moments."""
-
-    #: Last staging copy complete (source buffer logically drained).
-    copy_end: float
-    #: Last work request posted — the put-return instant.
-    posted: float
-    #: Last wire transmission complete — write directions free, all
-    #: remote bytes visible.
-    wire_release: float
-    #: Per-chunk ack arrival instants (remote completion, slot recycle).
-    acks: List[float]
-
-
-def plan_pipeline(
-    now: float,
-    chunks: Sequence[int],
-    depth: int,
-    copy_specs: Dict[int, TransferSpec],
-    write_specs: Dict[int, TransferSpec],
-    post_overhead: float,
-    ack_latency: float,
-) -> PipelinePlan:
-    """Replay the copy/post/transmit/ack recurrence in closed form.
-
-    ``copy_specs`` / ``write_specs`` map chunk size -> spec (a pipeline
-    has at most two distinct chunk sizes: full and the short tail).
-    """
-    acks: List[float] = []
-    cursor = now
-    posted = now
-    wire_free: float = now
-    first = True
-    for i, csize in enumerate(chunks):
-        start = cursor
-        if i >= depth and acks[i - depth] > start:
-            start = acks[i - depth]
-        cspec = copy_specs[csize]
-        t = start + cspec.setup
-        t = t + cspec.duration()
-        cursor = t
-        u = t + post_overhead
-        posted = u
-        wspec = write_specs[csize]
-        g = u + wspec.setup
-        if not first and wire_free > g:
-            g = wire_free
-        first = False
-        wire_free = g + wspec.duration()
-        acks.append(wire_free + ack_latency)
-    return PipelinePlan(copy_end=cursor, posted=posted, wire_release=wire_free, acks=acks)
-
-
-def plan_staged(
-    now: float,
-    chunks: Sequence[int],
-    first_specs: Dict[int, TransferSpec],
-    second_specs: Dict[int, TransferSpec],
-) -> float:
-    """Completion instant of the strictly serial two-copy staging loop
-    (``STAGED_HOST_COPY``): chunk copies never overlap, so the end time
-    is a plain accumulation of both legs per chunk."""
-    t = now
-    for csize in chunks:
-        s1 = first_specs[csize]
-        t = t + s1.setup
-        t = t + s1.duration()
-        s2 = second_specs[csize]
-        t = t + s2.setup
-        t = t + s2.duration()
-    return t
-
-
 class AnalyticFlow:
     """Callback-driven closed-form replay of one signaled RDMA write.
 
-    This is the contended-window tier of the analytic engine: unlike
-    the quiescence-gated planners above, it does *not* require idle
-    links.  The flow acquires the very same FIFO ``Resource`` slots the
-    event path would — hop directions requested in the same global
+    It does *not* require idle links.  The flow acquires the very same
+    FIFO ``Resource`` slots the event path would — hop directions
+    requested in the same global
     order, queued grants arriving at the same FIFO hand-off instants,
     all holds released together at the end of the pipelined window — so
     a link shared by N concurrent flows prices its bandwidth-sharing
@@ -127,8 +34,8 @@ class AnalyticFlow:
     the last ulp.  What the closed form elides is the *machinery*: no
     ``Process`` wrapping a generator per put, no per-hop generator
     resumes, no dispatch/lookup/post/setup ``Timeout`` allocations —
-    only a handful of absolutely-timed wake-ups on the simulator's
-    vectorised lane, chained through resource-grant callbacks.
+    only a handful of absolutely-timed wake-ups on the scheduler heap,
+    chained through resource-grant callbacks.
 
     Timeline (same float operations in the same order as
     ``Verbs.rdma_write`` + ``TransferSpec.execute``):
@@ -239,7 +146,7 @@ class AnalyticFlow:
         self._dead = False
         self.contended = False
         t_post = base + post_overhead
-        w = sim.wake_at_lane(t_post, name="an:post")
+        w = sim.wake_at(t_post, name="an:post")
         w.callbacks.append(self._at_posted)
 
     def _fire(self, value=None, exc: Optional[BaseException] = None) -> None:
@@ -291,7 +198,7 @@ class AnalyticFlow:
         # Allocated here — not at commit — so its scheduler sequence
         # number is drawn at the same instant the event path allocates
         # its setup timeout (tie order among same-instant events).
-        req = sim.wake_at_lane(sim.now + self.spec.setup, name="an:req")
+        req = sim.wake_at(sim.now + self.spec.setup, name="an:req")
         req.callbacks.append(self._acquire)
 
     def _acquire(self, ev: Event) -> None:
@@ -330,7 +237,7 @@ class AnalyticFlow:
             return
         self._marks = [(d, d.fail_mark) for d in dirs]
         sim = self.sim
-        end = sim.wake_at_lane(sim.now + self.duration, name="an:end")
+        end = sim.wake_at(sim.now + self.duration, name="an:end")
         end.callbacks.append(self._finish)
 
     def _finish(self, _ev: Event) -> None:
@@ -368,7 +275,7 @@ class AnalyticFlow:
         ext = self.ext_delivered
         if ext is not None and not ext._triggered:
             ext.succeed(sim.now)
-        ack = sim.wake_at_lane(sim.now + self.ack_latency, name="an:ack")
+        ack = sim.wake_at(sim.now + self.ack_latency, name="an:ack")
         ack.callbacks.append(self._complete)
 
     def _deliver(self, _ev: Event) -> None:
@@ -376,38 +283,3 @@ class AnalyticFlow:
 
     def _complete(self, _ev: Event) -> None:
         self._fire(value=self.nbytes)
-
-
-def merged_directions(specs: Sequence[TransferSpec]) -> List[LinkDirection]:
-    """Union of the specs' hop directions (dedup by identity)."""
-    out: List[LinkDirection] = []
-    seen = set()
-    for spec in specs:
-        for d in spec.directions():
-            if id(d) not in seen:
-                seen.add(id(d))
-                out.append(d)
-    return out
-
-
-def claimable(*direction_sets: Sequence[LinkDirection]) -> bool:
-    """All directions idle, and no direction appears in two sets (the
-    fast paths hold the sets for different windows, so overlap would
-    mean double-acquiring a capacity-1 resource)."""
-    seen = set()
-    for dirs in direction_sets:
-        for d in dirs:
-            if not d.idle or id(d) in seen:
-                return False
-            seen.add(id(d))
-    return True
-
-
-def claim(dirs: Sequence[LinkDirection]) -> List[Tuple[LinkDirection, object]]:
-    """Synchronously acquire every (idle) direction; returns the holds."""
-    return [(d, d.resource.request()) for d in dirs]
-
-
-def release(holds: Sequence[Tuple[LinkDirection, object]]) -> None:
-    for d, req in holds:
-        d.resource.release(req)

@@ -23,7 +23,6 @@ from repro.cuda.memory import MemKind, Ptr
 from repro.errors import ShmemError
 from repro.hardware.links import chunked
 from repro.ib.mr import MemoryRegion
-from repro.shmem.fastpath import claim, claimable, plan_pipeline, release
 from repro.shmem.service import ServiceItem
 from repro.simulator import Event, Store
 
@@ -135,11 +134,6 @@ class ProxyDaemon:
     def _do_get_pipeline(self, req: ProxyRequest) -> Generator:
         if self.cuda is None:
             raise ShmemError(f"proxy on GPU-less node {self.node_id} asked to read a GPU")
-        if not req.stage_at_requester:
-            fast = self._fast_get_pipeline(req)
-            if fast is not None:
-                yield fast
-                return
         runtime = self.runtime
         requester = runtime.job.contexts[req.requester_pe]
         pending = []
@@ -163,86 +157,6 @@ class ProxyDaemon:
             offset += csize
         if pending:
             yield self.sim.all_of(pending)
-
-    def _fast_get_pipeline(self, req: ProxyRequest) -> Optional[Event]:
-        """Closed-form replay of the direct (reverse Pipeline-GDR-write)
-        get: identical chunk machinery to the put fast path in
-        :mod:`repro.shmem.runtime`, minus watcher notifies (the blocked
-        requester is the only observer and wakes at the final ack).
-        Returns the event the proxy loop resumes on, or ``None``."""
-        sim = self.sim
-        if not (
-            sim.fastpath
-            and not sim.faults_active
-            and sim.trace is None
-            and sim.tracer is None
-            and sim.quiescent()
-        ):
-            return None
-        pool = self.staging
-        if not pool.idle:
-            return None
-        p = self.params
-        chunks = chunked(req.nbytes, p.pipeline_chunk)
-        if not chunks:
-            return None
-        slot_ptr = pool.alloc.ptr(0)
-        verbs = self.runtime.verbs
-        try:
-            req.dst_mr.check_range(req.dst_ptr.offset, req.nbytes)
-            sizes = sorted(set(chunks))
-            copy_specs = {c: self.cuda._spec_for(slot_ptr, req.src_ptr, c) for c in sizes}
-            write_specs = {}
-            dst_hca = None
-            for c in sizes:
-                write_specs[c], dst_hca = verbs.write_path(
-                    self.endpoint, slot_ptr, req.dst_mr, c
-                )
-            payload = req.src_ptr.snapshot(req.nbytes)
-        except Exception:
-            return None  # let the event path raise at the accurate instant
-        cdirs = copy_specs[chunks[0]].directions()
-        wdirs = write_specs[chunks[0]].directions()
-        if not claimable(cdirs, wdirs):
-            return None
-
-        plan = plan_pipeline(
-            sim.now, chunks, pool.depth, copy_specs, write_specs,
-            p.rdma_post_overhead, p.rdma_ack_latency,
-        )
-
-        holds = claim(cdirs) + claim(wdirs)
-        n = len(chunks)
-        nslots = min(n, pool.depth)
-        slots = [pool.take_nowait() for _ in range(nslots)]
-        ep_hca = self.endpoint.hca
-        dst = req.dst_ptr
-
-        wrel = sim.wake_at(plan.wire_release, name="proxy-get:fast:wire")
-
-        def at_wire(_ev) -> None:
-            release(holds)
-            for c in chunks:
-                copy_specs[c].count_transfer()
-                write_specs[c].count_transfer()
-            for _ in range(n):
-                ep_hca.count_tx()
-                dst_hca.count_rx()
-            dst.write(payload)
-
-        wrel.callbacks.append(at_wire)
-
-        # Only the last min(N, depth) slot recycles outlive the pipeline;
-        # earlier acks have no externally visible effect here (no
-        # watchers to notify), so they need no wake-ups at all.
-        last = wrel
-        for i in range(n - nslots, n):
-            ack = sim.wake_at(plan.acks[i], name="proxy-get:fast:ack")
-            ack.callbacks.append(lambda _ev: pool.release(slots.pop()))
-            last = ack
-        sim.stats.fastpath_batches += 1
-        sim.stats.fastpath_events_saved += 16 * n
-        return last
 
     def _chunk_direct(self, req, slot, offset, csize, ev) -> Generator:
         """Reverse Pipeline-GDR-write: staging chunk straight to the

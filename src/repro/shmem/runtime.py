@@ -37,15 +37,7 @@ from repro.shmem.address import SymAddr
 from repro.shmem.capabilities import Capabilities
 from repro.shmem.constants import Config, Domain, Locality, Op, Protocol
 from repro.shmem.designs import DesignSpec, design_spec
-from repro.shmem.fastpath import (
-    AnalyticFlow,
-    claim,
-    claimable,
-    merged_directions,
-    plan_pipeline,
-    plan_staged,
-    release,
-)
+from repro.shmem.fastpath import AnalyticFlow
 from repro.shmem.heap import SymmetricHeap
 from repro.shmem.protocols import ProtocolSelector, Route, make_selector
 from repro.shmem.service import ServiceEngine, ServiceItem
@@ -57,11 +49,11 @@ from repro.simulator import Event, Simulator
 #: offsets start above this.
 SYNC_RESERVED = 4096
 
-#: Put protocols the contended-window analytic tier can replay: the
-#: single-RDMA paths whose event schedule is one ``rdma_write`` (post,
-#: setup, FIFO hop acquisition, pipelined hold, ack).  Chunked/staged
-#: protocols stay on their own handlers (the quiescent tier-1 planners
-#: cover their uncontended case).
+#: Put protocols the analytic tier can replay whole, dispatch included:
+#: the single-RDMA paths whose event schedule is one ``rdma_write``
+#: (post, setup, FIFO hop acquisition, pipelined hold, ack).
+#: Chunked/staged protocols stay on their own handlers, whose copies
+#: and writes commit analytically one leg at a time.
 _ANALYTIC_PUT_PROTOCOLS = frozenset(
     {Protocol.DIRECT_GDR, Protocol.RDMA_HOST, Protocol.GDR_LOOPBACK, Protocol.DEVICE_GDR}
 )
@@ -108,7 +100,7 @@ class Runtime:
         self.protocol_counts: Dict[Protocol, int] = {}
         #: On-the-fly registrations of user (non-heap) buffers.
         self._mr_cache: Dict[int, MemoryRegion] = {}
-        #: Analytic-put route/path cache: everything the tier-2 commit
+        #: Analytic-put route/path cache: everything the analytic commit
         #: derives purely from topology — (route, TransferSpec, dst HCA,
         #: acquisition-ordered directions, pipelined duration) — keyed
         #: by the tuple those derivations actually depend on.  ``False``
@@ -570,11 +562,6 @@ class Runtime:
 
     def _put_staged_host(self, ctx, route, src, dst, dst_ptr, nbytes, pe) -> Generator:
         """Baseline's two-copy intra-node path (stage through own host heap)."""
-        fast = self._fast_staged(ctx, dst_ptr, src, nbytes)
-        if fast is not None:
-            yield fast
-            self._notify(pe)
-            return
         offset = 0
         for csize in chunked(nbytes, self.params.pipeline_chunk):
             slot = yield from self.staging[ctx.pe].acquire()
@@ -586,70 +573,13 @@ class Runtime:
             offset += csize
         self._notify(pe)
 
-    def _fast_staged(self, ctx, final_dst, orig_src, nbytes) -> Optional[Event]:
-        """Closed-form replay of the serial two-copy staging loop.
-
-        Commits only when the simulation is quiescent (see
-        :mod:`repro.shmem.fastpath`): the loop is then strictly
-        sequential and its completion instant is a plain accumulation,
-        so one absolute wake-up replaces ~14 events per chunk.  Returns
-        the event to yield on, or ``None`` to take the event path.
-        """
-        sim = self.sim
-        if not (
-            sim.fastpath
-            and not sim.faults_active
-            and sim.trace is None
-            and sim.tracer is None
-            and sim.quiescent()
-        ):
-            return None
-        pool = self.staging[ctx.pe]
-        if not pool.idle:
-            return None
-        chunks = chunked(nbytes, self.params.pipeline_chunk)
-        slot_ptr = pool.alloc.ptr(0)
-        try:
-            sizes = sorted(set(chunks))
-            first_specs = {c: ctx.cuda._spec_for(slot_ptr, orig_src, c) for c in sizes}
-            second_specs = {c: ctx.cuda._spec_for(final_dst, slot_ptr, c) for c in sizes}
-            final_dst._check(nbytes)
-            payload = orig_src.snapshot(nbytes)
-        except Exception:
-            return None  # let the event path raise at the accurate instant
-        dirs = merged_directions(
-            [first_specs[chunks[0]], second_specs[chunks[0]]]
-        )
-        if not claimable(dirs):
-            return None
-
-        t_end = plan_staged(sim.now, chunks, first_specs, second_specs)
-        holds = claim(dirs)
-        slot = pool.take_nowait()
-        done = sim.wake_at(t_end, name="staged:fast")
-
-        def finish(_ev) -> None:
-            release(holds)
-            pool.release(slot)
-            for c in chunks:
-                first_specs[c].count_transfer()
-                second_specs[c].count_transfer()
-            final_dst.write(payload)
-
-        done.callbacks.append(finish)
-        n = len(chunks)
-        sim.stats.fastpath_batches += 1
-        sim.stats.fastpath_events_saved += 14 * n - 1
-        return done
-
     # --- RDMA-based puts (return at post; completion tracked) ----------
     def _fast_rdma_put(self, ctx, dst, src, nbytes, pe):
-        """Tier-2 analytic commit: replay a single-RDMA put — including
+        """Analytic commit: replay a single-RDMA put — including
         its dispatch/lookup overheads — through an
         :class:`~repro.shmem.fastpath.AnalyticFlow`.
 
-        Unlike the quiescent tier-1 planners this works under link
-        contention: the flow requests the same FIFO resources at the
+        This works under link contention: the flow requests the same FIFO resources at the
         same instants as the event path, so contended windows price
         themselves bit-identically (see the AnalyticFlow docstring).
         Returns ``(posted, route, t0)`` for the caller to yield/sample
@@ -714,9 +644,6 @@ class Runtime:
         )
         ctx.track(flow.completion)
         sim.stats.analytic_flows += 1
-        sim.stats.fastpath_events_saved += 9
-        if ctx.in_collective:
-            sim.stats.collective_closed_forms += 1
         return flow.posted, route, t0
 
     def _an_route_fill(self, ctx, src, dst, nbytes, pe, key):
@@ -871,10 +798,6 @@ class Runtime:
         copy is done and its write posted — the paper's stated put-return
         point (§III-C)."""
         mr = self._remote_mr(dst, pe)
-        fast = self._fast_pipeline_put(ctx, src, dst, mr, nbytes, pe)
-        if fast is not None:
-            yield fast
-            return
         offset = 0
         last_posted: Optional[Event] = None
         for csize in chunked(nbytes, self.params.pipeline_chunk):
@@ -935,125 +858,6 @@ class Runtime:
             )
         )
         yield done
-
-    def _fast_pipeline_put(self, ctx, src, dst, mr, nbytes, pe) -> Optional[Event]:
-        """Closed-form replay of the Pipeline-GDR-write chunk machinery.
-
-        Commits only when the simulation is quiescent (every other
-        process is blocked on events that only this op's completions can
-        trigger — see :mod:`repro.shmem.fastpath`), so the pipeline's
-        FIFO interleavings are fully determined and a handful of
-        absolute wake-ups replace ~18 scheduler events per chunk:
-
-        * ``plan.posted``   — parent resumes (put-return); staging-copy
-          directions released; copy + tx counters applied (all N posts
-          have happened by now in the event path too);
-        * ``plan.wire_release`` — write directions released (a follower
-          op queued meanwhile is granted here, exactly when the event
-          path would grant it behind chunk N's request); write + rx
-          counters applied;
-        * ``plan.acks[c]``  — chunk ``c``'s bytes land, target watchers
-          are notified (the event path notifies per chunk at the same
-          ack instants), and the last ``min(N, depth)`` slots return to
-          the pool (earlier acks are recycled *within* the pipeline and
-          never externally visible).
-
-        Returns the put-return event, or ``None`` to fall back.
-        """
-        sim = self.sim
-        if not (
-            sim.fastpath
-            and not sim.faults_active
-            and sim.trace is None
-            and sim.tracer is None
-            and sim.quiescent()
-        ):
-            return None
-        pool = self.staging[ctx.pe]
-        if not pool.idle:
-            return None
-        p = self.params
-        chunks = chunked(nbytes, p.pipeline_chunk)
-        slot_ptr = pool.alloc.ptr(0)
-        try:
-            mr.check_range(dst.offset, nbytes)
-            sizes = sorted(set(chunks))
-            copy_specs = {c: ctx.cuda._spec_for(slot_ptr, src, c) for c in sizes}
-            write_specs = {}
-            dst_hca = None
-            for c in sizes:
-                write_specs[c], dst_hca = self.verbs.write_path(
-                    ctx.endpoint, slot_ptr, mr, c
-                )
-            payload = src.snapshot(nbytes)
-        except Exception:
-            return None  # let the event path raise at the accurate instant
-        cdirs = copy_specs[chunks[0]].directions()
-        wdirs = write_specs[chunks[0]].directions()
-        if not claimable(cdirs, wdirs):
-            return None
-
-        plan = plan_pipeline(
-            sim.now, chunks, pool.depth, copy_specs, write_specs,
-            p.rdma_post_overhead, p.rdma_ack_latency,
-        )
-
-        # ---- commit: hold the resources, schedule absolute wake-ups ----
-        copy_holds = claim(cdirs)
-        write_holds = claim(wdirs)
-        n = len(chunks)
-        nslots = min(n, pool.depth)
-        slots = [pool.take_nowait() for _ in range(nslots)]
-        ep_hca = ctx.endpoint.hca
-
-        ret = sim.wake_at(plan.posted, sim.now, name="pgw:fast:return")
-
-        def at_return(_ev) -> None:
-            release(copy_holds)
-            for c in chunks:
-                copy_specs[c].count_transfer()
-            for _ in range(n):
-                ep_hca.count_tx()
-
-        ret.callbacks.append(at_return)
-
-        wrel = sim.wake_at(plan.wire_release, name="pgw:fast:wire")
-
-        def at_wire(_ev) -> None:
-            release(write_holds)
-            for c in chunks:
-                write_specs[c].count_transfer()
-            for _ in range(n):
-                dst_hca.count_rx()
-
-        wrel.callbacks.append(at_wire)
-
-        base = mr.ptr(dst.offset)
-        first_recycled = n - nslots
-        offset = 0
-        last_ack = None
-        for i, c in enumerate(chunks):
-            ack = sim.wake_at(plan.acks[i], name="pgw:fast:ack")
-
-            def at_ack(
-                _ev,
-                tgt=base + offset,
-                lo=offset,
-                hi=offset + c,
-                recycle=(i >= first_recycled),
-            ) -> None:
-                tgt.write(payload[lo:hi])
-                if recycle:
-                    pool.release(slots.pop())
-                self._notify(pe)
-
-            ack.callbacks.append(at_ack)
-            last_ack = ack
-            offset += c
-        ctx.track(last_ack)
-        sim.stats.fastpath_batches += 1
-        sim.stats.fastpath_events_saved += 16 * n
-        return ret
 
     def _put_host_pipeline(self, ctx, route, src, dst, dst_ptr, nbytes, pe) -> Generator:
         """Baseline inter-node pipeline (Fig 1): D2H + IB + *target-side*
@@ -1246,10 +1050,6 @@ class Runtime:
 
     def _get_staged_host(self, ctx, route, dst, src, src_ptr, nbytes, pe) -> Generator:
         """Baseline's two-copy intra-node get (device -> staging -> host)."""
-        fast = self._fast_staged(ctx, dst, src_ptr, nbytes)
-        if fast is not None:
-            yield fast
-            return
         offset = 0
         for csize in chunked(nbytes, self.params.pipeline_chunk):
             slot = yield from self.staging[ctx.pe].acquire()

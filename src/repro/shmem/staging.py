@@ -66,13 +66,3 @@ class StagingPool:
     @property
     def available(self) -> int:
         return len(self._free)
-
-    @property
-    def idle(self) -> bool:
-        """Every slot is free and nobody is waiting for one."""
-        return len(self._free) == self.depth
-
-    def take_nowait(self) -> Optional[StagingSlot]:
-        """Non-blocking acquire for the batched fast paths (the caller
-        has already verified :attr:`idle`)."""
-        return self._free.get_nowait()

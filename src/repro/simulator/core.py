@@ -5,7 +5,9 @@ Design notes
 The scheduler keeps two structures:
 
 * a binary heap of ``(time, seq, event)`` entries for everything
-  scheduled at NORMAL priority (timeouts, plain ``succeed()`` calls);
+  scheduled at NORMAL priority (timeouts, plain ``succeed()`` calls,
+  and the absolutely-timed ``wake_at`` instants of the analytic fast
+  paths);
 * a FIFO *ready queue* for URGENT work at the current instant —
   resource hand-offs and process resumptions.
 
@@ -24,6 +26,10 @@ Event allocations; when a :class:`~repro.simulator.monitor.Trace` is
 attached the engine falls back to real Events so traces keep their
 full event-per-resume fidelity.
 
+The analytic fast paths' wake-ups share the heap and its ``(time,
+seq)`` key, and so fire in exactly the order the event path's
+timeouts would; ``tests/test_property_simulator.py`` pins that order.
+
 Virtual time is a ``float`` in **seconds**.  All hardware constants in
 :mod:`repro.hardware.params` are expressed in seconds / bytes-per-second
 so latencies printed by the benchmark harness are simple unit
@@ -36,8 +42,6 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Union
 
-import numpy as np
-
 
 class SimulationError(RuntimeError):
     """Raised for illegal engine usage (double-trigger, bad yield, ...)."""
@@ -49,10 +53,6 @@ NORMAL = 1
 #: same instant (e.g. resource hand-off).
 URGENT = 0
 
-#: Live entries in the vectorised lane's hot run before it is migrated
-#: into the cold numpy arrays with one bulk lexsort.
-_LANE_MIGRATE = 256
-
 
 class SimStats:
     """Engine counters; read via :attr:`Simulator.stats`.
@@ -60,20 +60,14 @@ class SimStats:
     ``scheduled``/``processed`` count every unit of scheduler work
     (heap entries, ready-queue events, and process resumptions alike),
     so a drop between two equivalent runs is direct evidence that a
-    fast path elided events.  ``fastpath_batches`` counts batched
-    pipeline transfers that took the closed-form path and
-    ``fastpath_events_saved`` estimates how many per-chunk events each
-    batch replaced.
+    fast path elided events.
 
-    The tiered analytic engine adds its own population counters:
-    ``analytic_flows`` counts RDMA operations replayed by the
-    callback-driven closed form (no Process, no per-hop generator
-    resumes), ``contended_windows`` counts the subset whose link grant
-    was queued behind other traffic (the contended-window pricing
-    case), ``collective_closed_forms`` counts analytic commits issued
-    from inside a collective round, and ``vectorised_events`` counts
-    wake-ups that went through the simulator's numpy wake lane instead
-    of the per-event binary heap.
+    The analytic engine adds its own population counters:
+    ``analytic_flows`` counts transfers and RDMA operations replayed by
+    the callback-driven closed form (no Process, no per-hop generator
+    resumes), and ``contended_windows`` counts the subset whose link
+    grant was queued behind other traffic (the contended-window pricing
+    case).
 
     The reliability counters (``retries`` .. ``degraded_time``) are only
     ever non-zero when a :class:`repro.faults.FaultPlan` is attached:
@@ -101,12 +95,8 @@ class SimStats:
         "scheduled",
         "processed",
         "resumed_fast",
-        "fastpath_batches",
-        "fastpath_events_saved",
         "analytic_flows",
         "contended_windows",
-        "collective_closed_forms",
-        "vectorised_events",
         "retries",
         "failovers",
         "flap_windows",
@@ -385,44 +375,24 @@ class Simulator:
     def __init__(self) -> None:
         self._queue: List[tuple] = []
         self._ready: Deque[Union[Event, tuple]] = deque()
-        # Vectorised wake lane: absolutely-timed wake-ups created by the
-        # analytic fast paths.  New entries land in ``_lane_pend``; at
-        # the next drain they merge into the sorted *hot* run (timsort
-        # exploits the presorted runs), and once the hot run exceeds
-        # ``_LANE_MIGRATE`` live entries the whole run migrates into the
-        # cold numpy arrays with a single lexsorted bulk merge — one
-        # vector op absorbing a homogeneous run of events that would
-        # otherwise each pay a heap push/pop.  Pops advance positional
-        # cursors.  Global ordering against the heap is preserved
-        # exactly: all structures share ``_seq``, and ``step`` always
-        # fires the lowest ``(time, seq)`` head.
-        self._lane_t = np.empty(0, dtype=np.float64)
-        self._lane_s = np.empty(0, dtype=np.int64)
-        self._lane_e = np.empty(0, dtype=object)
-        self._lane_n: int = 0
-        self._lane_pos: int = 0
-        self._lane_hot: List[tuple] = []
-        self._lane_hot_pos: int = 0
-        self._lane_pend: List[tuple] = []
         self._now: float = 0.0
         self._seq: int = 0
         self._active_process: Optional[Process] = None
         self.trace = None  # type: Optional[Any]  # set by monitor.Trace.attach
         #: Span collector (:class:`repro.obs.spans.SpanTracer`) or None.
         #: Emission sites across the runtime/ib/hardware layers guard on
-        #: this; like ``trace``, an attached tracer disarms the batched
+        #: this; like ``trace``, an attached tracer disarms the analytic
         #: fast paths so spans map 1:1 onto event-accurate scheduling.
         self.tracer = None  # type: Optional[Any]
         self.stats = SimStats()
         self._flushed = SimStats()
-        #: Master switch for the batched closed-form transfer paths in
-        #: the hardware/runtime layers.  They additionally require no
-        #: trace and no contention; tests flip this off to force the
-        #: event-accurate path.
+        #: Master switch for the analytic closed-form transfer paths in
+        #: the hardware/ib/runtime layers.  They additionally require no
+        #: trace; tests flip this off to force the event-accurate path.
         self.fastpath = True
         #: Set by :class:`repro.faults.FaultInjector` when a fault plan
-        #: is attached.  The batched fast paths consult it and decline —
-        #: closed-form replay cannot model a link dying mid-window.
+        #: is attached.  The analytic fast paths consult it and decline:
+        #: fault handling hooks the event path.
         self.faults_active = False
 
     # -- clock ---------------------------------------------------------
@@ -435,25 +405,6 @@ class Simulator:
     def active_process(self) -> Optional[Process]:
         return self._active_process
 
-    def quiescent(self) -> bool:
-        """True when nothing besides the currently-running process is
-        runnable or scheduled.
-
-        This is the safety gate for the batched transfer fast paths:
-        when it holds, every other process is blocked on events that
-        only *this* operation's completion callbacks can trigger, so
-        collapsing the operation's per-chunk events into a handful of
-        absolutely-timed wake-ups cannot reorder any grant or wake-up
-        another party would have observed.
-        """
-        return (
-            not self._ready
-            and not self._queue
-            and not self._lane_pend
-            and self._lane_pos >= self._lane_n
-            and self._lane_hot_pos >= len(self._lane_hot)
-        )
-
     # -- event construction --------------------------------------------
     def event(self, name: str = "") -> Event:
         return Event(self, name)
@@ -464,8 +415,8 @@ class Simulator:
     def wake_at(self, when: float, value: Any = None, name: str = "") -> Event:
         """An event firing at absolute time ``when`` (NORMAL priority).
 
-        Used by the batched transfer fast paths, whose completion times
-        are computed in absolute terms: scheduling ``timeout(when - now)``
+        Used by the analytic transfer fast paths, whose instants are
+        computed in absolute terms: scheduling ``timeout(when - now)``
         would re-round the float and could drift off the event-accurate
         path by one ulp.
         """
@@ -478,98 +429,6 @@ class Simulator:
         self.stats.scheduled += 1
         heapq.heappush(self._queue, (when, self._seq, ev))
         return ev
-
-    def wake_at_lane(self, when: float, value: Any = None, name: str = "") -> Event:
-        """Like :meth:`wake_at`, but lands in the vectorised wake lane.
-
-        The analytic flows schedule their posted/grant/complete/ack
-        instants through here; entries accumulate in a pending batch
-        and are merged into the sorted lane with a single numpy lexsort
-        at the next drain, replacing one heap push per event with a
-        bulk operation.  Ordering is identical to :meth:`wake_at`: the
-        lane shares the global ``seq`` counter and ``step`` merges both
-        structures by ``(time, seq)``.
-        """
-        if when < self._now:
-            raise SimulationError(f"wake_at_lane({when!r}) is in the past (now={self._now!r})")
-        ev = Event(self, name or "lane")
-        ev._triggered = True
-        ev._value = value
-        self._seq += 1
-        self.stats.scheduled += 1
-        self._lane_pend.append((when, self._seq, ev))
-        return ev
-
-    def _lane_flush(self) -> None:
-        """Merge pending wake-ups into the sorted hot run (timsort).
-
-        Small bursts stay in the hot python list — timsort's run
-        detection makes the merge nearly free — and once the live run
-        exceeds :data:`_LANE_MIGRATE` entries the whole run migrates
-        into the cold numpy arrays with one vectorised lexsort, so the
-        per-burst cost never includes a numpy call.
-        """
-        pend = self._lane_pend
-        self._lane_pend = []
-        self.stats.vectorised_events += len(pend)
-        pend.sort()
-        hot = self._lane_hot
-        hp = self._lane_hot_pos
-        if hp:
-            del hot[:hp]
-            self._lane_hot_pos = 0
-        if hot:
-            if pend[0] >= hot[-1]:
-                hot.extend(pend)
-            else:
-                hot.extend(pend)
-                hot.sort()
-        else:
-            self._lane_hot = hot = pend
-        if len(hot) >= _LANE_MIGRATE:
-            self._lane_migrate()
-
-    def _lane_migrate(self) -> None:
-        """Bulk-absorb the hot run into the cold numpy lane (one lexsort)."""
-        hot = self._lane_hot
-        hp = self._lane_hot_pos
-        n = len(hot) - hp
-        pt = np.fromiter((hot[i][0] for i in range(hp, len(hot))), dtype=np.float64, count=n)
-        ps = np.fromiter((hot[i][1] for i in range(hp, len(hot))), dtype=np.int64, count=n)
-        pe = np.empty(n, dtype=object)
-        for i in range(n):
-            pe[i] = hot[hp + i][2]
-        self._lane_hot = []
-        self._lane_hot_pos = 0
-        pos = self._lane_pos
-        if pos < self._lane_n:
-            pt = np.concatenate((self._lane_t[pos : self._lane_n], pt))
-            ps = np.concatenate((self._lane_s[pos : self._lane_n], ps))
-            pe = np.concatenate((self._lane_e[pos : self._lane_n], pe))
-        order = np.lexsort((ps, pt))
-        self._lane_t = pt[order]
-        self._lane_s = ps[order]
-        self._lane_e = pe[order]
-        self._lane_n = len(order)
-        self._lane_pos = 0
-
-    def _next_when(self) -> float:
-        """Time of the earliest heap/lane entry (+inf when both empty)."""
-        if self._lane_pend:
-            self._lane_flush()
-        q = self._queue[0][0] if self._queue else float("inf")
-        pos = self._lane_pos
-        if pos < self._lane_n:
-            lt = float(self._lane_t[pos])
-            if lt < q:
-                q = lt
-        hot = self._lane_hot
-        hp = self._lane_hot_pos
-        if hp < len(hot):
-            ht = hot[hp][0]
-            if ht < q:
-                q = ht
-        return q
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)
@@ -614,37 +473,6 @@ class Simulator:
                 self.trace._on_fire(self._now, item)
             item._run_callbacks()
             return
-        if self._lane_pend:
-            self._lane_flush()
-        hot = self._lane_hot
-        hp = self._lane_hot_pos
-        pos = self._lane_pos
-        lt = ls = None
-        use_hot = False
-        if pos < self._lane_n:
-            lt = self._lane_t[pos]
-            ls = self._lane_s[pos]
-        if hp < len(hot):
-            h = hot[hp]
-            if lt is None or (h[0], h[1]) < (lt, ls):
-                lt = h[0]
-                ls = h[1]
-                use_hot = True
-        if lt is not None:
-            head = self._queue[0] if self._queue else None
-            if head is None or (lt, ls) < (head[0], head[1]):
-                if use_hot:
-                    self._lane_hot_pos = hp + 1
-                    event = h[2]
-                else:
-                    self._lane_pos = pos + 1
-                    event = self._lane_e[pos]
-                    self._lane_e[pos] = None
-                self._now = float(lt)
-                if self.trace is not None:
-                    self.trace._on_fire(self._now, event)
-                event._run_callbacks()
-                return
         when, _seq, event = heapq.heappop(self._queue)
         self._now = when
         if self.trace is not None:
@@ -657,15 +485,12 @@ class Simulator:
         Returns the virtual time at which the run stopped.  ``max_events``
         is a runaway-loop backstop.
         """
+        if until is not None and until < self._now:
+            raise SimulationError(f"run(until={until!r}) is in the past (now={self._now!r})")
         count = 0
-        while (
-            self._ready
-            or self._queue
-            or self._lane_pend
-            or self._lane_pos < self._lane_n
-            or self._lane_hot_pos < len(self._lane_hot)
-        ):
-            if not self._ready and until is not None and self._next_when() > until:
+        queue = self._queue
+        while self._ready or queue:
+            if not self._ready and until is not None and queue[0][0] > until:
                 self._now = until
                 return self._now
             self.step()
@@ -678,7 +503,7 @@ class Simulator:
         """Time of the next scheduled event, or +inf if the queue is empty."""
         if self._ready:
             return self._now
-        return self._next_when()
+        return self._queue[0][0] if self._queue else float("inf")
 
     def flush_stats(self) -> SimStats:
         """Fold this simulator's counters into :data:`GLOBAL_STATS`.

@@ -16,15 +16,8 @@ from repro.bench.runner import (
 
 
 def test_totals_aggregates_every_tier_counter():
-    stats_a = {
-        "processed": 10,
-        "fastpath_batches": 1,
-        "analytic_flows": 2,
-        "contended_windows": 1,
-        "collective_closed_forms": 3,
-        "vectorised_events": 7,
-    }
-    stats_b = {"processed": 5, "analytic_flows": 4, "vectorised_events": 1}
+    stats_a = {"processed": 10, "analytic_flows": 2, "contended_windows": 1}
+    stats_b = {"processed": 5, "analytic_flows": 4}
     rep = SweepReport(
         fingerprint="f",
         quick=False,
@@ -36,19 +29,17 @@ def test_totals_aggregates_every_tier_counter():
     )
     totals = rep.totals()
     assert totals["processed"] == 15
-    assert totals["fastpath_batches"] == 1
     assert totals["analytic_flows"] == 6
     assert totals["contended_windows"] == 1
-    assert totals["collective_closed_forms"] == 3
-    assert totals["vectorised_events"] == 8
     # The serialised report carries the same aggregate.
     assert rep.as_dict()["engine_totals"] == totals
 
 
 def test_profile_breakdown_covers_every_tier_key():
-    prof = _profile_from_stats({"processed": 3, "fastpath_events_saved": 9})
-    assert set(prof["tiers"]) == set(PROFILE_TIER_KEYS)
-    assert prof["events"]["saved"] == 9
+    prof = _profile_from_stats({"processed": 3, "contended_windows": 2})
+    assert set(prof["tiers"]) == set(PROFILE_TIER_KEYS) == {"analytic_flows", "contended_windows"}
+    assert prof["events"]["processed"] == 3
+    assert prof["tiers"]["contended_windows"] == 2
     assert prof["tiers"]["analytic_flows"] == 0
 
 

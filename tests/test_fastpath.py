@@ -1,6 +1,7 @@
-"""Equivalence tests for the batched pipeline fast paths.
+"""Equivalence tests for the analytic fast paths.
 
-The closed-form fast paths in :mod:`repro.shmem.fastpath` may change
+The closed-form replays (:class:`repro.shmem.fastpath.AnalyticFlow`,
+:class:`repro.hardware.links.AnalyticTransfer`) may change
 *wall-clock* cost only; every simulated timestamp, byte, and counter
 must be identical to the event-accurate path.  Each scenario here runs
 twice — ``sim.fastpath`` on and off — and demands exact float equality
@@ -42,7 +43,8 @@ def _counters(job):
 
 def _ab_run(make_job, program):
     """Run ``program`` with the fast path on and off; assert the
-    simulations are indistinguishable.  Returns the batches taken."""
+    simulations are indistinguishable.  Returns the fast run's engine
+    stats so tests can assert that the analytic tier carried the work."""
     outcomes = []
     for fast in (True, False):
         job = make_job()
@@ -54,11 +56,13 @@ def _ab_run(make_job, program):
                 res.elapsed,
                 _counters(job),
                 dict(job.runtime.protocol_counts),
-                job.sim.stats.fastpath_batches,
+                job.sim.stats,
             )
         )
     on, off = outcomes
-    assert off[4] == 0  # the kill switch really disables it
+    # The kill switch really disables the analytic tier.
+    assert off[4].analytic_flows == 0
+    assert off[4].contended_windows == 0
     assert on[0] == off[0]  # program results (incl. measured latencies)
     assert on[1] == off[1]  # exact virtual end time, no tolerance
     assert on[2] == off[2]  # every link/HCA counter
@@ -67,45 +71,41 @@ def _ab_run(make_job, program):
 
 
 # ------------------------------------------------- uncontended pipelines
-def test_pipeline_put_sweep_identical_and_batched():
-    batches = _ab_run(
+def test_pipeline_put_sweep_identical():
+    _ab_run(
         lambda: ShmemJob(nodes=2, design="enhanced-gdr"),
         lat._sweep_program("put", SIZES, Domain.GPU, Domain.GPU, "far"),
     )
-    assert batches > 0  # Pipeline-GDR-write actually took the fast path
 
 
-def test_proxy_get_sweep_identical_and_batched():
-    batches = _ab_run(
+def test_proxy_get_sweep_identical():
+    _ab_run(
         lambda: ShmemJob(nodes=2, design="enhanced-gdr"),
         lat._sweep_program("get", SIZES, Domain.GPU, Domain.GPU, "far"),
     )
-    assert batches > 0
 
 
-def test_staged_host_put_identical_and_batched():
+def test_staged_host_put_identical():
     # host-pipeline intra-node put D-H: staged through the own host heap.
-    batches = _ab_run(
+    _ab_run(
         lambda: ShmemJob(nodes=2, pes_per_node=2, design="host-pipeline"),
         lat._sweep_program("put", SIZES, Domain.GPU, Domain.HOST, "near"),
     )
-    assert batches > 0
 
 
-def test_staged_host_get_sweep_identical_and_batched():
+def test_staged_host_get_sweep_identical():
     # host-pipeline intra-node get H-D (remote GPU heap -> local host).
-    batches = _ab_run(
+    _ab_run(
         lambda: ShmemJob(nodes=2, pes_per_node=2, design="host-pipeline"),
         lat._sweep_program("get", SIZES, Domain.HOST, Domain.GPU, "near"),
     )
-    assert batches > 0
 
 
 # ------------------------------------------------------- contended paths
 def _windowed_bidirectional(window, nbytes):
     """Both PEs stream a window of non-blocking puts at each other —
-    the classic bandwidth loop the fast path must refuse (the ready
-    queue is never empty, so interleavings matter)."""
+    the classic bandwidth loop, where interleavings on the shared
+    links decide every grant."""
 
     def main(ctx):
         sym = yield from ctx.shmalloc(window * nbytes, domain=Domain.GPU)
@@ -123,13 +123,10 @@ def _windowed_bidirectional(window, nbytes):
 
 
 def test_contended_window_identical_with_fast_path_enabled():
-    batches = _ab_run(
+    _ab_run(
         lambda: ShmemJob(nodes=2, design="enhanced-gdr"),
         _windowed_bidirectional(window=8, nbytes=1 * MiB),
     )
-    # Concurrency means the sim is never quiescent at dispatch: the
-    # fast path must decline every one of these pipelines.
-    assert batches == 0
 
 
 def test_put_with_waiting_target_identical():
@@ -197,20 +194,20 @@ def test_fig8_golden_with_empty_fault_plan(design, op):
     """An *attached but empty* fault plan arms the reliability layer
     (RC transport, health tracker, fastpath refusal) yet must not move
     a single timestamp: the golden end times hold exactly, with zero
-    batched pipelines taken."""
+    analytic flows committed."""
     from repro.faults import FaultPlan
 
     job = _golden_job(design, fault_plan=FaultPlan(seed=0))
     job.run(lat._sweep_program(op, GOLDEN_SIZES, Domain.GPU, Domain.GPU, "far"))
     assert job.sim.now == GOLDEN[(design, op)]
     assert job.verbs.rc is not None
-    assert job.sim.stats.fastpath_batches == 0  # faults_active declines it
+    assert job.sim.stats.analytic_flows == 0  # faults_active declines it
     assert job.sim.stats.retries == 0
 
 
 def test_faulted_sweep_declines_fastpath_and_stays_deterministic():
     """Under an active flap plan the fast path must decline every
-    pipeline, and fastpath on/off must still be indistinguishable (the
+    transfer, and fastpath on/off must still be indistinguishable (the
     gate makes both sides take the event-accurate path)."""
     from repro.faults import FaultPlan
     from repro.units import usec
@@ -225,37 +222,25 @@ def test_faulted_sweep_declines_fastpath_and_stays_deterministic():
         )
         return _golden_job("enhanced-gdr", fault_plan=plan)
 
-    batches = _ab_run(
+    stats = _ab_run(
         make_job, lat._sweep_program("put", SIZES, Domain.GPU, Domain.GPU, "far")
     )
-    assert batches == 0
-
-
-#: Untraced Fig 8 golden runs must batch pipelines on the designs that
-#: have a fast path for the route (enhanced-gdr pipeline put / proxy
-#: get); host-pipeline's inter-node D-D protocol has none.
-GOLDEN_BATCHES_POSITIVE = {
-    ("enhanced-gdr", "put"): True,
-    ("enhanced-gdr", "get"): True,
-    ("host-pipeline", "put"): False,
-    ("host-pipeline", "get"): False,
-}
+    assert stats.analytic_flows == 0
 
 
 @pytest.mark.parametrize("design,op", sorted(GOLDEN))
 def test_fig8_golden_untraced_keeps_fastpath(design, op):
-    """No tracer, no trace: the batched fast paths stay armed (zero
-    ``fastpath_batches`` regression on the eligible routes)."""
+    """No tracer, no trace: the analytic fast paths stay armed on every
+    design (the sweep's barriers, copies and writes commit flows)."""
     job = _golden_job(design)
     job.run(lat._sweep_program(op, GOLDEN_SIZES, Domain.GPU, Domain.GPU, "far"))
     assert job.sim.now == GOLDEN[(design, op)]
-    batched = job.sim.stats.fastpath_batches > 0
-    assert batched == GOLDEN_BATCHES_POSITIVE[(design, op)]
+    assert job.sim.stats.analytic_flows > 0
 
 
 @pytest.mark.parametrize("design,op", sorted(GOLDEN))
 def test_fig8_golden_with_span_tracer(design, op):
-    """A SpanTracer forces the event-accurate path (batches == 0) yet
+    """A SpanTracer forces the event-accurate path (no analytic flows) yet
     must not move a single timestamp: the golden end times hold with
     exact float equality, and every span closes."""
     from repro.obs import SpanTracer
@@ -264,7 +249,7 @@ def test_fig8_golden_with_span_tracer(design, op):
     tracer = SpanTracer().attach(job.sim)
     job.run(lat._sweep_program(op, GOLDEN_SIZES, Domain.GPU, Domain.GPU, "far"))
     assert job.sim.now == GOLDEN[(design, op)]
-    assert job.sim.stats.fastpath_batches == 0  # tracer disarms the gate
+    assert job.sim.stats.analytic_flows == 0  # tracer disarms the gate
     assert len(tracer.spans) > 0
     assert tracer.open_spans() == []
     assert not tracer.truncated
@@ -284,35 +269,6 @@ def test_chunked_zero_is_empty():
 
 
 # --------------------------------- generalised analytic engine (tiers)
-def _ab_run_stats(make_job, program):
-    """Like :func:`_ab_run`, but returns the fast run's engine stats so
-    tests can assert which analytic tier carried the work."""
-    outcomes = []
-    for fast in (True, False):
-        job = make_job()
-        job.sim.fastpath = fast
-        res = job.run(program)
-        outcomes.append(
-            (
-                res.results,
-                res.elapsed,
-                _counters(job),
-                dict(job.runtime.protocol_counts),
-                job.sim.stats,
-            )
-        )
-    on, off = outcomes
-    # The kill switch disables every tier, not just the batch planner.
-    assert off[4].fastpath_batches == 0
-    assert off[4].analytic_flows == 0
-    assert off[4].contended_windows == 0
-    assert on[0] == off[0]  # program results (times, payload bytes)
-    assert on[1] == off[1]  # exact virtual end time, no tolerance
-    assert on[2] == off[2]  # every link/HCA counter
-    assert on[3] == off[3]  # protocol selection unchanged
-    return on[4]
-
-
 @pytest.mark.parametrize("flows", [2, 3, 5, 8])
 def test_contended_flows_share_one_link_identical(flows):
     """2..8 concurrent analytic flows queueing on one HCA port with
@@ -333,7 +289,7 @@ def test_contended_flows_share_one_link_identical(flows):
         yield from ctx.barrier_all()
         return (ctx.now, sym.read(64 * KiB) if ctx.pe >= half else None)
 
-    stats = _ab_run_stats(
+    stats = _ab_run(
         lambda: ShmemJob(nodes=2, pes_per_node=flows, design="enhanced-gdr"),
         main,
     )
@@ -368,7 +324,7 @@ def test_mid_window_fault_fallback_identical():
         yield from ctx.barrier_all()
         return out
 
-    stats = _ab_run_stats(
+    stats = _ab_run(
         lambda: ShmemJob(nodes=2, pes_per_node=1, design="enhanced-gdr"),
         main,
     )
@@ -380,9 +336,9 @@ _COLLECTIVES = ["barrier", "bcast", "reduce", "alltoall", "fcollect", "collect"]
 
 @pytest.mark.parametrize("coll", _COLLECTIVES)
 def test_collective_closed_form_identical(coll):
-    """Each collective against its event twin: the puts committed
-    inside the collective extent (the closed-form tier) must leave
-    results, heap bytes, and the end time bit-identical."""
+    """Each collective against its event twin: the signal and data puts
+    every round reduces to commit analytically and must leave results,
+    heap bytes, and the end time bit-identical."""
 
     def main(ctx):
         n = ctx.npes
@@ -406,11 +362,11 @@ def test_collective_closed_form_identical(coll):
         yield from ctx.barrier_all()
         return (ctx.now, dst.read(4 * KiB * n), src.read(4 * KiB))
 
-    stats = _ab_run_stats(
+    stats = _ab_run(
         lambda: ShmemJob(nodes=2, pes_per_node=2, design="enhanced-gdr"),
         main,
     )
-    assert stats.collective_closed_forms > 0
+    assert stats.analytic_flows > 0
 
 
 @pytest.mark.parametrize("design,ppn", [
@@ -437,7 +393,7 @@ def test_three_way_contention_grant_order_identical(design, ppn):
         yield from ctx.barrier_all()
         return (ctx.now, dst.read(568 * n))
 
-    stats = _ab_run_stats(
+    stats = _ab_run(
         lambda: ShmemJob(nodes=2, pes_per_node=ppn, design=design),
         main,
     )

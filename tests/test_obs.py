@@ -301,7 +301,7 @@ def test_snapshot_job_merges_every_source():
     assert snap.get("job.elapsed") == job.sim.now
     assert snap.get("job.npes") == 2
     assert snap.get("job.design") == "enhanced-gdr"
-    assert snap.get("engine.fastpath_batches") == 0  # tracer disarmed it
+    assert snap.get("engine.analytic_flows") == 0  # tracer disarmed it
     assert snap.get("engine.scheduled") > 0
     # Global and per-PE probe histograms.
     put_keys = [k for k in snap.keys() if k.startswith("probe.put:")]

@@ -249,6 +249,23 @@ def test_run_until_pauses_clock():
     assert sim.now == pytest.approx(10.0)
 
 
+def test_run_until_in_the_past_raises_and_keeps_the_clock():
+    """``run(until=t)`` with ``t`` behind the clock must not rewind it:
+    a rewound clock would fire later timeouts before events that have
+    already fired."""
+    sim = Simulator()
+    fired = []
+    for delay in (3.0, 5.0):
+        sim.timeout(delay).callbacks.append(lambda ev: fired.append(sim.now))
+    assert sim.run(until=3.0) == 3.0
+    with pytest.raises(SimulationError, match="in the past"):
+        sim.run(until=1.0)
+    assert sim.now == 3.0
+    sim.timeout(0.5).callbacks.append(lambda ev: fired.append(sim.now))
+    sim.run()
+    assert fired == [3.0, 3.5, 5.0]
+
+
 def test_peek_next_event_time():
     sim = Simulator()
     assert sim.peek() == float("inf")
