@@ -48,10 +48,11 @@ TIER1_BASELINE_SECONDS = 20.6
 #: A fast, representative subset for CI smoke runs.  The four-way
 #: targets keep the three existing designs in the same comparison as
 #: device-initiated, so a regression in any of them shows up in the
-#: perf-smoke baseline.
+#: perf-smoke baseline; fig12 puts the two-sided MPI baseline (the
+#: msg engine's staged transport) under the same event ceiling.
 SMOKE_TARGETS = [
     "table2", "fig6b", "fig8b", "fig8d", "fig9b", "fig10",
-    "fig6a4", "fig8a4", "fig8b4", "xover1", "xover2",
+    "fig6a4", "fig8a4", "fig8b4", "xover1", "xover2", "fig12",
 ]
 
 #: Default eager/rendezvous thresholds swept by ``--crossover``.

@@ -36,6 +36,7 @@ from typing import Dict, Generator, List, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.mpi import MpiComm
 from repro.shmem import Domain, ShmemJob
 from repro.shmem.collectives import NOTIFY_FLAG_OFF
 
@@ -194,7 +195,7 @@ def lbm_program(cfg: LBMConfig):
         compute_s = 0.0
         if cfg.comm_mode not in ("shmem", "mpi"):
             raise ConfigurationError(f"unknown comm_mode {cfg.comm_mode!r}")
-        comm = ctx.job.mpi.comm(ctx) if cfg.comm_mode == "mpi" else None
+        comm = MpiComm(ctx) if cfg.comm_mode == "mpi" else None
 
         def exchange_mpi(sym, plane_bytes: int) -> Generator:
             """The original code's two-sided halo exchange [24]: two

@@ -1,29 +1,21 @@
-"""CUDA-aware MPI two-sided emulation (the application baseline).
+"""CUDA-aware MPI two-sided API (the application baseline).
 
 The original GPULBM [24] that §IV redesigns is a CUDA-aware **MPI**
 code: every halo exchange is a matched send/recv pair.  To reproduce
-the paper's application comparison faithfully, this package provides a
-minimal MVAPICH2-GPU-style two-sided layer over the same simulated
-hardware:
+the paper's application comparison, :class:`MpiComm` gives each PE a
+small mpi4py-flavoured surface over the job's two-sided engine
+(:mod:`repro.msg`) on its ``"staged"`` transport, the MVAPICH2-GPU
+behaviour of the paper's era:
 
-* rendezvous protocol for GPU buffers — data moves only once *both*
-  sides have posted and the RTS/CTS round-trip completed;
+* rendezvous for GPU buffers — data moves only once *both* sides have
+  posted and the RTS/CTS round-trip completed;
 * the transfer itself is the host-staged chunk pipeline
   (D2H -> IB -> H2D), with the receiver's H2D copies charged to the
   receiver's links — both processes are occupied for the duration,
   which is exactly the serialization one-sided puts eliminate;
 * eager path for small host-resident messages.
-
-The lowercase API (``isend``/``irecv``/``send``/``recv``) is
-deliberately *not* built on the OpenSHMEM runtime designs: it is the
-independent baseline the paper's Figure 12 compares against, and its
-timing is pinned.  The capitalised ``MPI_Send``/``MPI_Recv``/
-``MPI_Isend``/``MPI_Irecv`` surface is the **MPI-over-SHMEM shim**: it
-routes through the runtime's two-sided engine (:mod:`repro.msg`), so
-MPI programs exercise the same eager/rendezvous and RC/UD wire paths
-the protocol-crossover studies sweep.
 """
 
-from repro.mpi.core import MpiComm, MpiWorld
+from repro.mpi.core import MpiComm
 
-__all__ = ["MpiComm", "MpiWorld"]
+__all__ = ["MpiComm"]

@@ -1,235 +1,28 @@
-"""Two-sided matching engine and the rendezvous pipeline transfer."""
+"""Per-PE MPI communicator over the msg engine's staged transport."""
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Generator, Optional, Tuple
+from typing import Generator
 
-from repro.cuda.memory import MemKind, Ptr
-from repro.errors import ShmemError
-from repro.hardware.links import analytic_execute, chunked
-from repro.ib.mr import MemoryRegion
-from repro.shmem.staging import StagingPool
+from repro.cuda.memory import Ptr
 from repro.simulator import Event
-
-#: Messages at or below this size (host-resident) use the eager path.
-EAGER_LIMIT = 8 * 1024
-
-
-@dataclass
-class _Posted:
-    """One posted send or recv awaiting its match."""
-
-    kind: str  # "send" | "recv"
-    pe: int
-    peer: int
-    tag: int
-    buf: Ptr
-    nbytes: int
-    done: Event
-    #: Eager sends snapshot their payload at post time; the sender's
-    #: buffer is immediately reusable (its ``done`` fires at post).
-    payload: Optional[bytes] = None
-
-
-class MpiWorld:
-    """Per-job two-sided state: match queues, staging, registrations."""
-
-    def __init__(self, job):
-        self.job = job
-        self.sim = job.sim
-        self.params = job.params
-        self.verbs = job.verbs
-        self._sends: Dict[Tuple[int, int, int], Deque[_Posted]] = {}
-        self._recvs: Dict[Tuple[int, int, int], Deque[_Posted]] = {}
-        self._staging: Dict[int, StagingPool] = {}
-        self._rx_staging: Dict[int, StagingPool] = {}
-        self._mrs: Dict[int, MemoryRegion] = {}
-        self.messages = 0
-
-    def comm(self, ctx) -> "MpiComm":
-        return MpiComm(self, ctx)
-
-    # ------------------------------------------------------------ plumbing
-    def staging_of(self, pe: int, rx: bool = False) -> StagingPool:
-        """Send-side and landing-side pools are separate (deadlock
-        avoidance for simultaneous sendrecv in both directions)."""
-        pools = self._rx_staging if rx else self._staging
-        if pe not in pools:
-            kind = "rx" if rx else "tx"
-            node_id, _ = self.job.hw.pe_location(pe)
-            alloc = self.job.space.allocate(
-                MemKind.HOST,
-                self.params.pipeline_chunk * self.params.pipeline_depth,
-                node_id=node_id,
-                owner=pe,
-                tag=f"mpi.pe{pe}.{kind}-staging",
-            )
-            pools[pe] = StagingPool(
-                self.sim, alloc, MemoryRegion(alloc), self.params.pipeline_chunk,
-                name=f"mpi.pe{pe}.{kind}-staging",
-            )
-        return pools[pe]
-
-    def mr_of(self, alloc) -> MemoryRegion:
-        mr = self._mrs.get(id(alloc))
-        if mr is None or mr.invalidated:
-            mr = MemoryRegion(alloc)
-            self._mrs[id(alloc)] = mr
-        return mr
-
-    # ------------------------------------------------------------ matching
-    def post(self, item: _Posted) -> None:
-        """Register a send/recv; fire the transfer when a pair matches."""
-        # A send from ``pe`` to ``peer`` matches a recv at ``peer`` from
-        # ``pe``; both sides index the queues by (src, dst, tag).
-        if item.kind == "send":
-            key = (item.pe, item.peer, item.tag)
-            queue = self._recvs.setdefault(key, deque())
-            if queue:
-                recv = queue.popleft()
-                self._start(item, recv)
-            else:
-                self._sends.setdefault(key, deque()).append(item)
-        else:
-            key = (item.peer, item.pe, item.tag)  # (src, dst, tag)
-            queue = self._sends.setdefault(key, deque())
-            if queue:
-                send = queue.popleft()
-                self._start(send, item)
-            else:
-                self._recvs.setdefault(key, deque()).append(item)
-
-    def _start(self, send: _Posted, recv: _Posted) -> None:
-        if recv.nbytes < send.nbytes:
-            exc = ShmemError(
-                f"MPI truncation: recv of {recv.nbytes} B matched a "
-                f"send of {send.nbytes} B (src {send.pe} -> dst {recv.pe})"
-            )
-            if not send.done.triggered:
-                send.done.fail(exc)
-            recv.done.fail(exc)
-            return
-        self.messages += 1
-        self.sim.process(
-            self._transfer(send, recv), name=f"mpi:{send.pe}->{recv.pe}"
-        )
-
-    # ------------------------------------------------------------ transfer
-    def _transfer(self, send: _Posted, recv: _Posted) -> Generator:
-        p = self.params
-        sim = self.sim
-        job = self.job
-        src_ctx = job.contexts[send.pe]
-        dst_ctx = job.contexts[recv.pe]
-        same_node = job.hw.same_node(send.pe, recv.pe)
-        gpu_involved = (
-            send.buf.kind is MemKind.DEVICE or recv.buf.kind is MemKind.DEVICE
-        )
-
-        # Eager path: the payload was snapshotted at post; deliver it.
-        if send.payload is not None:
-            if same_node:
-                spec = self.job.hw.node_of(send.pe).pcie.host_copy(send.nbytes)
-                an = analytic_execute(sim, spec)
-                if an is not None:
-                    yield an
-                else:
-                    yield from spec.execute(sim)
-            else:
-                yield from self.verbs.post_send(
-                    self.verbs_endpoint(send.pe), self.verbs_endpoint(recv.pe), send.payload
-                )
-                # drain the matched message from the endpoint queue
-                self.verbs_endpoint(recv.pe).recv_nowait()
-            recv.buf.write(send.payload)
-            if not send.done.triggered:
-                send.done.succeed(sim.now)
-            recv.done.succeed(sim.now)
-            return
-
-        # Rendezvous round-trip for anything past the eager limit or
-        # touching GPU memory (MVAPICH2-GPU behaviour for device buffers).
-        if send.nbytes > EAGER_LIMIT or gpu_involved:
-            rtt_wire = 0.0 if same_node else p.ib_wire_latency
-            yield sim.timeout(2 * (p.rdma_post_overhead + rtt_wire), name="mpi:rendezvous")
-
-        if same_node:
-            # Intra-node: one staged/IPC copy issued on the sender's side.
-            yield from src_ctx.cuda.memcpy(recv.buf, send.buf, send.nbytes)
-            send.done.succeed(sim.now)
-            recv.done.succeed(sim.now)
-            return
-
-        if not gpu_involved:
-            # Host-host: single RDMA write into the recv buffer.
-            mr = self.mr_of(recv.buf.alloc)
-            yield from self.verbs.rdma_write(
-                self.verbs_endpoint(send.pe), send.buf, mr,
-                recv.buf.offset, send.nbytes,
-            )
-            send.done.succeed(sim.now)
-            recv.done.succeed(sim.now)
-            return
-
-        # Inter-node GPU pipeline: D2H -> IB -> H2D, chunked.  The last
-        # H2D is charged to the receiver, which sits blocked in recv.
-        src_pool = self.staging_of(send.pe)
-        dst_pool = self.staging_of(recv.pe, rx=True)
-        chunk_events = []
-        offset = 0
-        for csize in chunked(send.nbytes, p.pipeline_chunk):
-            sslot = yield from src_pool.acquire()
-            if send.buf.kind is MemKind.DEVICE:
-                yield from src_ctx.cuda.memcpy(sslot.ptr, send.buf + offset, csize)
-            else:
-                sslot.ptr.write((send.buf + offset).read(csize))
-            dslot = yield from dst_pool.acquire()
-            ev = sim.event("mpi:chunk")
-            sim.process(
-                self._chunk_tail(send, recv, dst_ctx, sslot, dslot, src_pool, dst_pool, offset, csize, ev),
-                name="mpi:chunk",
-            )
-            chunk_events.append(ev)
-            offset += csize
-        # Sender done: its buffer is drained after the last D2H stage.
-        send.done.succeed(sim.now)
-        yield sim.all_of(chunk_events)
-        recv.done.succeed(sim.now)
-
-    def _chunk_tail(self, send, recv, dst_ctx, sslot, dslot, src_pool, dst_pool, offset, csize, ev) -> Generator:
-        try:
-            yield from self.verbs.rdma_write(
-                self.verbs_endpoint(send.pe), sslot.ptr, dst_pool.mr, dslot.offset, csize
-            )
-        finally:
-            src_pool.release(sslot)
-        try:
-            if recv.buf.kind is MemKind.DEVICE:
-                yield from dst_ctx.cuda.memcpy(recv.buf + offset, dslot.ptr, csize)
-            else:
-                (recv.buf + offset).write(dslot.ptr.read(csize))
-        finally:
-            dst_pool.release(dslot)
-        ev.succeed()
-
-    def verbs_endpoint(self, pe: int):
-        return self.job.runtime.endpoints[pe]
 
 
 class MpiComm:
-    """Per-PE two-sided API (a tiny mpi4py-flavoured surface)."""
+    """Per-PE two-sided API (a tiny mpi4py-flavoured surface).
 
-    def __init__(self, world: MpiWorld, ctx):
-        self.world = world
-        self.ctx = ctx
+    Every message is a :class:`~repro.msg.MsgEngine` message on the
+    ``"staged"`` transport, so matching, truncation checks, spans and
+    counters are the msg engine's.  The posts bypass the context's
+    runtime service gate: MPI progress is not SHMEM progress.
+    """
+
+    def __init__(self, ctx):
         self.rank = ctx.pe
         self.size = ctx.npes
-
-    def _check_peer(self, peer: int) -> None:
-        if not 0 <= peer < self.size:
-            raise ShmemError(f"MPI peer {peer} out of range (size={self.size})")
+        self.msg = ctx.job.msg
+        self.sim = ctx.job.sim
+        self.dispatch = ctx.job.params.shmem_dispatch_overhead
 
     def isend(self, buf: Ptr, nbytes: int, dst: int, tag: int = 0) -> Event:
         """Non-blocking send; the returned event fires when the send
@@ -239,33 +32,23 @@ class MpiComm:
         is snapshotted at post time and the send completes immediately,
         matching MPI eager-protocol semantics (and making out-of-order
         tag matching deadlock-free, as in real MPI)."""
-        self._check_peer(dst)
-        done = self.world.sim.event(f"mpi:send:{self.rank}->{dst}")
-        item = _Posted("send", self.rank, dst, tag, buf, nbytes, done)
-        if nbytes <= EAGER_LIMIT and buf.kind is not MemKind.DEVICE:
-            item.payload = buf.read(nbytes)
-            done.succeed(self.world.sim.now)
-        self.world.post(item)
-        return done
+        return self.msg.isend(self.rank, buf, nbytes, dst, tag, transport="staged")
 
     def irecv(self, buf: Ptr, nbytes: int, src: int, tag: int = 0) -> Event:
         """Non-blocking recv; the returned event fires on delivery."""
-        self._check_peer(src)
-        done = self.world.sim.event(f"mpi:recv:{self.rank}<-{src}")
-        self.world.post(_Posted("recv", self.rank, src, tag, buf, nbytes, done))
-        return done
+        return self.msg.irecv(self.rank, buf, nbytes, src, tag)
 
     def send(self, buf: Ptr, nbytes: int, dst: int, tag: int = 0) -> Generator:
         """Blocking send (returns when the buffer is reusable)."""
         ev = self.isend(buf, nbytes, dst, tag)
-        yield self.world.sim.timeout(self.world.params.shmem_dispatch_overhead)
+        yield self.sim.timeout(self.dispatch)
         yield ev
         return None
 
     def recv(self, buf: Ptr, nbytes: int, src: int, tag: int = 0) -> Generator:
         """Blocking receive."""
         ev = self.irecv(buf, nbytes, src, tag)
-        yield self.world.sim.timeout(self.world.params.shmem_dispatch_overhead)
+        yield self.sim.timeout(self.dispatch)
         yield ev
         return None
 
@@ -282,50 +65,6 @@ class MpiComm:
         """Simultaneous send+recv, the halo-exchange staple."""
         sev = self.isend(sendbuf, send_nbytes, dst, tag)
         rev = self.irecv(recvbuf, recv_nbytes, src, tag)
-        yield self.world.sim.timeout(self.world.params.shmem_dispatch_overhead)
-        yield self.world.sim.all_of([sev, rev])
+        yield self.sim.timeout(self.dispatch)
+        yield self.sim.all_of([sev, rev])
         return None
-
-    def waitall(self, events) -> Generator:
-        live = [ev for ev in events if not ev.processed]
-        if live:
-            yield self.world.sim.all_of(live)
-        return None
-
-    # --------------------------------------------- MPI-over-SHMEM shim
-    # The capitalised surface routes through the OpenSHMEM runtime's
-    # two-sided engine (:mod:`repro.msg`) instead of this module's
-    # private matching: same wildcard semantics, same eager/rendezvous
-    # split, same RC/UD wire paths the crossover studies sweep.  The
-    # lowercase API above keeps its original independent behaviour
-    # (and timing — fig12 pins it).
-
-    def MPI_Isend(self, buf: Ptr, nbytes: int, dst: int, tag: int = 0) -> Event:
-        """``MPI_Isend`` over the SHMEM runtime's msg engine."""
-        self._check_peer(dst)
-        return self.ctx.isend(buf, nbytes, dst, tag)
-
-    def MPI_Irecv(
-        self, buf: Ptr, nbytes: int, src: Optional[int] = None, tag: Optional[int] = None
-    ) -> Event:
-        """``MPI_Irecv``; ``src=None``/``tag=None`` are
-        ``MPI_ANY_SOURCE``/``MPI_ANY_TAG``.  The event's value is the
-        matched ``(source, tag)`` envelope (the status object)."""
-        if src is not None:
-            self._check_peer(src)
-        return self.ctx.irecv(buf, nbytes, src, tag)
-
-    def MPI_Send(self, buf: Ptr, nbytes: int, dst: int, tag: int = 0) -> Generator:
-        """Blocking ``MPI_Send`` over the SHMEM runtime's msg engine."""
-        self._check_peer(dst)
-        yield from self.ctx.send(buf, nbytes, dst, tag)
-        return None
-
-    def MPI_Recv(
-        self, buf: Ptr, nbytes: int, src: Optional[int] = None, tag: Optional[int] = None
-    ) -> Generator:
-        """Blocking ``MPI_Recv``; returns the ``(source, tag)`` envelope."""
-        if src is not None:
-            self._check_peer(src)
-        envelope = yield from self.ctx.recv(buf, nbytes, src, tag)
-        return envelope

@@ -19,11 +19,17 @@ Two protocols, split at ``params.msg_eager_threshold``:
   the user buffers: one RDMA write on the RC route, or MTU-segmented
   datagrams staged through bounce slots on the UD route.
 
-Transport is chosen per route (``set_route``): "rc" rides the existing
-:class:`~repro.ib.verbs.Verbs` paths (and therefore the RC retry
-engine under faults); "ud" rides :class:`~repro.ib.ud.UDTransport`,
-where faults *drop* packets and this layer's resend timer — not the
-transport — restores them.
+Transport is chosen per route (``set_route``) or per send:
+
+* "rc" rides the existing :class:`~repro.ib.verbs.Verbs` paths (and
+  therefore the RC retry engine under faults);
+* "ud" rides :class:`~repro.ib.ud.UDTransport`, where faults *drop*
+  packets and this layer's resend timer — not the transport — restores
+  them;
+* "staged" is Figure 12's CUDA-aware MPI baseline (:mod:`repro.mpi`):
+  RC wire, but rendezvous device payloads cross an overlapped chunk
+  pipeline — D2H into a tx bounce slot, RDMA write into the receiver's
+  rx bounce slot, H2D — and the send completes after its last D2H.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ ANY_SOURCE = -1
 #: Wildcard tag for :meth:`MsgEngine.irecv` (matches any tag).
 ANY_TAG = -1
 
-_TRANSPORTS = ("rc", "ud")
+_TRANSPORTS = ("rc", "ud", "staged")
 
 
 @dataclass
@@ -196,6 +202,8 @@ class MsgEngine:
         receivers need to learn who actually sent."""
         if src != ANY_SOURCE:
             self._check_pe(src)
+        if tag < 0 and tag != ANY_TAG:
+            raise ShmemError(f"recv tag must be non-negative or ANY_TAG, got {tag}")
         sim = self.sim
         done = sim.event(f"msg:recv:{dst_pe}<-{src}")
         item = _MsgPosted("recv", dst_pe, src, tag, buf, nbytes, done)
@@ -331,17 +339,25 @@ class MsgEngine:
                 nbytes=p.msg_rts_bytes, target_pe=send.pe,
             )
 
-        payload = send.buf.read(send.nbytes)
+        # Both staged legs move the bytes themselves; rc and ud land
+        # the whole payload on delivery.
+        staged = send.transport == "staged"
+        payload = None if staged else send.buf.read(send.nbytes)
         if same_node:
             yield from job.contexts[send.pe].cuda.memcpy(
                 recv.buf, send.buf, send.nbytes
             )
         elif send.transport == "ud":
             yield from self._ud_staged(send, recv)
+        elif staged and (send.buf.kind is MemKind.DEVICE
+                         or recv.buf.kind is MemKind.DEVICE):
+            yield from self._staged_pipeline(send, recv)
         else:
             yield from self._rc_bulk(send, recv)
-        recv.buf.write(payload)
-        send.done.succeed(sim.now)
+        if payload is not None:
+            recv.buf.write(payload)
+        if not send.done.triggered:  # the staged pipeline fires it early
+            send.done.succeed(sim.now)
         recv.done.succeed((send.pe, send.tag))
 
     def _gdr_degraded(self, send: _MsgPosted, recv: _MsgPosted) -> bool:
@@ -445,3 +461,58 @@ class MsgEngine:
                 if sslot is not None:
                     tx_pool.release(sslot)
             offset += csize
+
+    def _staged_pipeline(self, send: _MsgPosted, recv: _MsgPosted) -> Generator:
+        """Staged bulk data: D2H -> RDMA write -> H2D per chunk, each
+        chunk's write and H2D overlapping the next chunk's D2H.  Both
+        sides stay occupied — the serialization one-sided puts remove."""
+        sim = self.sim
+        src_ctx = self.job.contexts[send.pe]
+        tx_pool = self._bounce_pool(send.pe, "tx")
+        rx_pool = self._bounce_pool(recv.pe)
+        chunk_events = []
+        offset = 0
+        for csize in chunked(send.nbytes, self.params.pipeline_chunk):
+            sslot = yield from tx_pool.acquire()
+            if send.buf.kind is MemKind.DEVICE:
+                yield from src_ctx.cuda.memcpy(sslot.ptr, send.buf + offset, csize)
+            else:
+                sslot.ptr.write((send.buf + offset).read(csize))
+            dslot = yield from rx_pool.acquire()
+            ev = sim.event("msg:chunk")
+            ev.defuse()  # a failed chunk surfaces through the all_of below
+            sim.process(
+                self._chunk_tail(send, recv, sslot, dslot, tx_pool, rx_pool, offset, csize, ev),
+                name="msg:chunk",
+            )
+            chunk_events.append(ev)
+            offset += csize
+        # The send buffer is drained after the last D2H stage.
+        send.done.succeed(sim.now)
+        yield sim.all_of(chunk_events)
+
+    def _chunk_tail(
+        self, send, recv, sslot, dslot, tx_pool, rx_pool, offset, csize, ev
+    ) -> Generator:
+        """One staged chunk's RDMA write and H2D; a failure fails ``ev``
+        (and through it the message) instead of the simulation."""
+        try:
+            try:
+                yield from self.verbs.rdma_write(
+                    self._endpoint(send.pe), sslot.ptr, rx_pool.mr, dslot.offset, csize
+                )
+            finally:
+                tx_pool.release(sslot)
+            try:
+                if recv.buf.kind is MemKind.DEVICE:
+                    yield from self.job.contexts[recv.pe].cuda.memcpy(
+                        recv.buf + offset, dslot.ptr, csize
+                    )
+                else:
+                    (recv.buf + offset).write(dslot.ptr.read(csize))
+            finally:
+                rx_pool.release(dslot)
+        except Exception as exc:  # noqa: BLE001 — any failure fails the chunk
+            ev.fail(exc)
+            return
+        ev.succeed()

@@ -35,7 +35,7 @@ CATEGORIES = (
     ("proxy:", "proxy"),
     ("proxy-get", "proxy"),
     ("proxy-put", "proxy"),
-    ("mpi:", "mpi"),
+    ("msg:", "msg"),
     ("atomic", "atomics"),
     ("init:", "init"),
     ("rc:", "reliability"),

@@ -79,7 +79,6 @@ class ShmemJob:
         self._cuda: Dict[int, CudaContext] = {}
         self.contexts: List[ShmemContext] = [ShmemContext(self, pe) for pe in range(self.npes)]
         self.runtime = Runtime(self, design, service_thread=service_thread)
-        self._mpi = None
         self._msg = None
         self._ran = False
         #: Live fault injector when a FaultPlan is attached (else None).
@@ -92,15 +91,6 @@ class ShmemJob:
         from repro.obs import attach_active
 
         attach_active(self.sim, label=f"{design} x{self.npes}PE")
-
-    @property
-    def mpi(self):
-        """The two-sided MPI emulation layer (created on first use)."""
-        if self._mpi is None:
-            from repro.mpi import MpiWorld
-
-            self._mpi = MpiWorld(self)
-        return self._mpi
 
     @property
     def msg(self):

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 from repro.apps.lbm import LBMConfig, reference_lbm, run_lbm
 from repro.errors import ConfigurationError
+from repro.obs import SpanTracer, install, snapshot_job, uninstall
 
 
 def tiles_match(out, ref, lnz, atol=1e-5):
@@ -85,3 +86,24 @@ def test_evolution_extrapolation():
     cfg = LBMConfig(nx=16, ny=16, nz=8, iterations=500, measure_iterations=3, warmup_iterations=1)
     out = run_lbm(nodes=2, design="enhanced-gdr", cfg=cfg)
     assert out["evolution_time"] == pytest.approx(out["per_iteration"] * 500)
+
+
+def test_mpi_baseline_is_observable_and_trace_neutral():
+    """The Fig 12 baseline runs on the msg engine: every rendezvous
+    shows its RTS and CTS spans, tracing leaves the timing untouched,
+    and the job snapshot counts the messages."""
+    from repro.obs import SpanTracer, install, snapshot_job, uninstall
+
+    cfg = LBMConfig(nx=16, ny=16, nz=8, iterations=4, comm_mode="mpi")
+    plain = run_lbm(nodes=2, design="enhanced-gdr", cfg=cfg)
+    tracer = install(SpanTracer())
+    try:
+        traced = run_lbm(nodes=2, design="enhanced-gdr", cfg=cfg)
+    finally:
+        uninstall()
+    job = traced["job"]
+    assert job.msg.rendezvous > 0
+    assert len(tracer.by_name("msg_rts")) == job.msg.rendezvous
+    assert len(tracer.by_name("msg_cts")) == job.msg.rendezvous
+    assert traced["evolution_time"] == plain["evolution_time"]
+    assert snapshot_job(job).get("msg.rendezvous") > 0

@@ -1,8 +1,9 @@
-"""Tests for the two-sided MPI emulation layer."""
+"""Tests for the MPI communicator over the msg engine's staged transport."""
 
 import pytest
 
 from repro.errors import ShmemError
+from repro.mpi import MpiComm
 from repro.shmem import Domain, ShmemJob
 from repro.units import KiB, MiB, to_usec
 
@@ -14,7 +15,7 @@ def run_mpi(nodes, program, pes_per_node=0, design="enhanced-gdr"):
 
 def test_send_recv_host_roundtrip():
     def main(ctx):
-        comm = ctx.job.mpi.comm(ctx)
+        comm = MpiComm(ctx)
         buf = ctx.cuda.malloc_host(1024)
         if ctx.my_pe() == 0:
             buf.fill(0x11, 1024)
@@ -30,7 +31,7 @@ def test_send_recv_host_roundtrip():
 
 def test_send_recv_gpu_internode():
     def main(ctx):
-        comm = ctx.job.mpi.comm(ctx)
+        comm = MpiComm(ctx)
         buf = ctx.cuda.malloc(1 * MiB)
         if ctx.my_pe() == 0:
             buf.fill(0x22, 1 * MiB)
@@ -42,12 +43,13 @@ def test_send_recv_gpu_internode():
 
     res, job = run_mpi(2, main, pes_per_node=1)
     assert res.results[1] is True
-    assert job.mpi.messages == 1
+    assert job.msg.rendezvous == 1
+    assert [row[5] for row in job.msg.match_log] == ["staged"]
 
 
 def test_send_recv_gpu_intranode():
     def main(ctx):
-        comm = ctx.job.mpi.comm(ctx)
+        comm = MpiComm(ctx)
         buf = ctx.cuda.malloc(64 * KiB)
         if ctx.my_pe() == 0:
             buf.fill(0x33, 64 * KiB)
@@ -62,7 +64,7 @@ def test_send_recv_gpu_intranode():
 
 def test_recv_posted_before_send():
     def main(ctx):
-        comm = ctx.job.mpi.comm(ctx)
+        comm = MpiComm(ctx)
         buf = ctx.cuda.malloc_host(64)
         if ctx.my_pe() == 1:
             yield from comm.recv(buf, 64, src=0)  # posted first
@@ -78,7 +80,7 @@ def test_recv_posted_before_send():
 
 def test_tag_matching_separates_streams():
     def main(ctx):
-        comm = ctx.job.mpi.comm(ctx)
+        comm = MpiComm(ctx)
         a = ctx.cuda.malloc_host(8)
         b = ctx.cuda.malloc_host(8)
         if ctx.my_pe() == 0:
@@ -99,7 +101,7 @@ def test_tag_matching_separates_streams():
 
 def test_sendrecv_exchange():
     def main(ctx):
-        comm = ctx.job.mpi.comm(ctx)
+        comm = MpiComm(ctx)
         sbuf = ctx.cuda.malloc(4 * KiB)
         rbuf = ctx.cuda.malloc(4 * KiB)
         sbuf.fill(ctx.my_pe() + 1, 4 * KiB)
@@ -113,7 +115,7 @@ def test_sendrecv_exchange():
 
 def test_truncation_error():
     def main(ctx):
-        comm = ctx.job.mpi.comm(ctx)
+        comm = MpiComm(ctx)
         buf = ctx.cuda.malloc_host(128)
         if ctx.my_pe() == 0:
             yield from comm.send(buf, 128, dst=1)
@@ -127,7 +129,7 @@ def test_truncation_error():
 
 def test_bad_peer_rejected():
     def main(ctx):
-        comm = ctx.job.mpi.comm(ctx)
+        comm = MpiComm(ctx)
         buf = ctx.cuda.malloc_host(8)
         yield from comm.send(buf, 8, dst=77)
 
@@ -141,7 +143,7 @@ def test_rendezvous_blocks_sender_until_receiver_arrives():
     receiver posts — the serialization one-sided puts remove."""
 
     def main(ctx):
-        comm = ctx.job.mpi.comm(ctx)
+        comm = MpiComm(ctx)
         buf = ctx.cuda.malloc(1 * MiB)
         if ctx.my_pe() == 0:
             t0 = ctx.now
@@ -171,7 +173,7 @@ def test_one_sided_put_faster_than_sendrecv_for_halos():
         return ctx.now - t0
 
     def mpi_version(ctx):
-        comm = ctx.job.mpi.comm(ctx)
+        comm = MpiComm(ctx)
         sbuf = ctx.cuda.malloc(256 * KiB)
         rbuf = ctx.cuda.malloc(256 * KiB)
         peer = 1 - ctx.my_pe()

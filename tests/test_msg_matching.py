@@ -13,8 +13,12 @@ take the earliest compatible message in post order.
 
 import pytest
 
+from repro.errors import RetryExceeded, ShmemError
+from repro.faults import FaultPlan
+from repro.hardware.params import wilkes_params
 from repro.shmem.job import ShmemJob
-from repro.units import KiB
+from repro.simulator import Trace
+from repro.units import KiB, usec
 
 
 def _job():
@@ -211,3 +215,132 @@ def test_truncation_fails_both_sides():
     res = _job().run(main)
     assert res.results[1] == [True, True]  # rdv send failed, eager send ok
     assert res.results[0] == [True, True]  # both receives failed
+
+
+def test_negative_recv_tag_is_rejected():
+    """Only ``ANY_TAG`` may be negative; any other negative tag could
+    never match a (non-negative) send tag and would hang the receiver."""
+
+    def main(ctx):
+        buf = ctx.cuda.malloc_host(8)
+        if ctx.pe == 0:
+            yield from ctx.send(buf, 8, 1, tag=3)
+        elif ctx.pe == 1:
+            yield from ctx.recv(buf, 8, src=0, tag=-3)
+
+    with pytest.raises(ShmemError, match="recv tag"):
+        _job().run(main)
+
+
+# ------------------------------------------------------- staged transport
+_CHUNK = 256 * KiB  # params.pipeline_chunk; pipeline_depth is 4
+
+
+def _device_send(nbytes, transport):
+    """PE 0 (node 0) sends a device payload to PE 2 (node 1); PE 2
+    reports whether every byte landed."""
+    pattern = bytes(i % 251 for i in range(nbytes))
+
+    def main(ctx):
+        buf = ctx.cuda.malloc(nbytes)
+        if ctx.pe == 0:
+            buf.write(pattern)
+            yield from ctx.send(buf, nbytes, 2, tag=5, transport=transport)
+        elif ctx.pe == 2:
+            yield from ctx.recv(buf, nbytes, src=0, tag=5)
+            return buf.read(nbytes) == pattern
+        return None
+
+    return main
+
+
+@pytest.mark.parametrize(
+    "nbytes", [64 * KiB, 2 * _CHUNK + 1000, 6 * _CHUNK],
+    ids=["one-chunk", "ragged-tail", "past-depth"],
+)
+def test_staged_transport_lands_device_payloads(nbytes):
+    rc = _job()
+    rc.run(_device_send(nbytes, "rc"))
+    staged = _job()
+    trace = Trace(filter=lambda ev: ev.name == "msg:chunk")
+    trace.attach(staged.sim)
+    res = staged.run(_device_send(nbytes, "staged"))
+    assert res.results[2] is True
+    chunk_events = sum(rec.kind == "Event" for rec in trace.records)
+    assert chunk_events == -(-nbytes // _CHUNK)  # one per chunk
+    # Same match, same protocol, same time; only the transport differs.
+    def without_transport(log):
+        return [row[:5] + row[6:] for row in log]
+
+    assert without_transport(staged.msg.match_log) == without_transport(rc.msg.match_log)
+    assert [row[5] for row in staged.msg.match_log] == ["staged"]
+    assert [row[5] for row in rc.msg.match_log] == ["rc"]
+
+
+def test_staged_sender_completes_before_receiver():
+    """Inter-node staged: the send buffer is free after the last D2H
+    stage, while the receiver still waits for the last H2D."""
+
+    def main(ctx):
+        buf = ctx.cuda.malloc(4 * _CHUNK)
+        if ctx.pe == 0:
+            yield ctx.isend(buf, 4 * _CHUNK, 2, transport="staged")
+        elif ctx.pe == 2:
+            yield ctx.irecv(buf, 4 * _CHUNK, src=0)
+        return ctx.now
+
+    res = _job().run(main)
+    assert res.results[0] < res.results[2]
+
+
+def test_staged_truncation_fails_both_sides():
+    def main(ctx):
+        buf = ctx.cuda.malloc(64 * KiB)
+        if ctx.pe == 0:
+            ev = ctx.isend(buf, 64 * KiB, 2, transport="staged")
+        elif ctx.pe == 2:
+            ev = ctx.irecv(buf, 32 * KiB, src=0)
+        else:
+            return None
+        ev.defuse()
+        yield ctx.sim.timeout(1e-3)
+        return (ev.triggered and not ev.ok, "truncation" in str(ev.exception))
+
+    res = _job().run(main)
+    assert res.results[0] == (True, True)
+    assert res.results[2] == (True, True)
+
+
+def test_staged_chunk_failure_fails_the_receive():
+    """A staged chunk whose RDMA write exhausts RC retries fails the
+    message through the posted events instead of aborting the run.
+    The sender already drained its buffer, so only the receiver sees
+    the error."""
+
+    def idle(ctx):
+        yield ctx.sim.timeout(0)
+
+    start = _job().run(idle).start_time
+    plan = FaultPlan(seed=4).flap(
+        at=start, down_for=usec(5000), node=1, kind="hca-port", direction="both"
+    )
+    job = ShmemJob(
+        nodes=2, pes_per_node=2, design="enhanced-gdr", fault_plan=plan,
+        params=wilkes_params(rc_timeout=usec(5), rc_retry_cnt=2),
+    )
+
+    def main(ctx):
+        buf = ctx.cuda.malloc(2 * _CHUNK)
+        ev = None
+        if ctx.pe == 0:
+            ev = ctx.isend(buf, 2 * _CHUNK, 2, transport="staged")
+        elif ctx.pe == 2:
+            ev = ctx.irecv(buf, 2 * _CHUNK, src=0)
+        if ev is not None:
+            ev.defuse()
+        yield ctx.sim.timeout(0.05)  # outlast the flap before the closing quiet
+        return None if ev is None else ev.exception
+
+    res = job.run(main)
+    assert res.results[0] is None
+    assert isinstance(res.results[2], RetryExceeded)

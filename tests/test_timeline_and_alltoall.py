@@ -54,6 +54,7 @@ def test_categorize_known_prefixes():
     assert categorize("cudaMemcpyH2D:setup") == "cuda-copy"
     assert categorize("gdrP2Pwrite") == "gdr-p2p"
     assert categorize("proxy:dispatch") == "proxy"
+    assert categorize("msg:chunk") == "msg"
     assert categorize("unrelated") is None
 
 
@@ -89,6 +90,25 @@ def test_breakdown_differs_between_designs():
     cats_e = {e.category: e.events for e in event_breakdown(trace_e)}
     cats_h = {e.category: e.events for e in event_breakdown(trace_h)}
     assert cats_h.get("pipeline", 0) > cats_e.get("pipeline", 0)
+
+
+def test_event_breakdown_counts_two_sided_traffic():
+    """An inter-node rendezvous shows up as its own ``msg`` category."""
+    job = ShmemJob(nodes=2, pes_per_node=1, design="enhanced-gdr")
+    trace = Trace(filter=lambda ev: categorize(ev.name) is not None)
+    trace.attach(job.sim)
+
+    def main(ctx):
+        buf = ctx.cuda.malloc(64 * 1024)
+        if ctx.my_pe() == 0:
+            yield from ctx.send(buf, 64 * 1024, 1)
+        else:
+            yield from ctx.recv(buf, 64 * 1024, src=0)
+
+    job.run(main)
+    cats = {e.category: e.events for e in event_breakdown(trace)}
+    assert job.msg.rendezvous == 1
+    assert cats.get("msg", 0) >= 2  # at least the RTS and CTS legs
 
 
 def test_link_utilization_counters():
