@@ -4,18 +4,19 @@
 Usage:
     PYTHONPATH=src python benchmarks/trace_smoke.py [--output trace_fig8.json]
 
-Four checks, any failure exits non-zero:
+Two sweeps, an untraced reference and a span-traced run; four checks,
+any failure exits non-zero:
 
 1. **Bit-identical timestamps** — the traced run's virtual end time
    equals the untraced run's exactly (spans only read ``sim.now``).
 2. **Fast-path gating** — the untraced run commits analytic flows
    (``analytic_flows > 0``); the traced run takes the event-accurate
-   path (``analytic_flows == 0``), so its spans map onto real
-   scheduler events.
-3. **Span/event agreement** — the tracer's ``rdma_write`` span count
-   equals the number of ``rdma_write`` wire-hold events an attached
-   event :class:`~repro.simulator.monitor.Trace` logs: one span per
-   work request, one timed hold per work request.
+   path (``analytic_flows == 0``), so every link hold records spans.
+3. **Span parity** — the ``rdma_write`` work-request spans (``ib``)
+   equal the ``rdma_write`` wire holds in the link spans under the RC
+   ledger (``spans - rc_aborted_wrs + rc_retx_holds == holds``).  A
+   hold records one link span per hop direction, so holds are counted
+   as the spans with ``leg == 0``, not as all link spans.
 4. **Export schema** — the Chrome trace JSON round-trips through
    ``json`` and passes :func:`repro.obs.validate_chrome_trace`; CI
    archives it as an artifact.
@@ -35,7 +36,6 @@ import repro.bench.latency as lat  # noqa: E402
 from repro.obs import SpanTracer, snapshot_job, write_chrome_trace  # noqa: E402
 from repro.obs import validate_chrome_trace  # noqa: E402
 from repro.shmem import Domain, ShmemJob  # noqa: E402
-from repro.simulator import Trace  # noqa: E402
 from repro.units import KiB, MiB  # noqa: E402
 
 SIZES = [16 * KiB << i for i in range(9)]  # 16 KiB .. 4 MiB (Fig 8)
@@ -66,17 +66,6 @@ def main(argv=None) -> int:
     if ref_flows <= 0:
         failures.append(f"untraced run committed no analytic flows ({ref_flows})")
 
-    # Event-accurate reference: event Trace attached (also disarms the
-    # fast paths), counting the rdma_write wire holds.
-    evjob = _job()
-    evtrace = Trace(filter=lambda ev: ev.name == "rdma_write").attach(evjob.sim)
-    evjob.run(_program())
-    if evjob.sim.now != ref_end:
-        failures.append(
-            f"event-traced end time diverged: {evjob.sim.now!r} != {ref_end!r}"
-        )
-    event_writes = len(evtrace.records)
-
     # Span-traced run.
     job = _job()
     tracer = SpanTracer().attach(job.sim, label="fig8 internode D-D put")
@@ -90,12 +79,17 @@ def main(argv=None) -> int:
             f"span-traced run still committed {job.sim.stats.analytic_flows} analytic flows"
         )
     # The verbs layer opens one "ib" span per work request; the link
-    # layer reuses the spec label for its per-hop crossings, so filter
-    # by category to compare requests with requests.
-    span_writes = sum(1 for s in tracer.by_name("rdma_write") if s.cat == "ib")
-    if span_writes != event_writes:
+    # layer reuses the spec label for its per-direction crossings.
+    writes = tracer.by_name("rdma_write")
+    span_writes = sum(1 for s in writes if s.cat == "ib")
+    link_spans = sum(1 for s in writes if s.cat == "link")
+    holds = tracer.holds("rdma_write")
+    stats = job.sim.stats
+    expected = span_writes - stats.rc_aborted_wrs + stats.rc_retx_holds
+    if expected != holds:
         failures.append(
-            f"rdma_write span count {span_writes} != event count {event_writes}"
+            f"rdma_write WR spans {span_writes} (RC ledger -> {expected}) != "
+            f"wire holds {holds}"
         )
     if tracer.open_spans():
         failures.append(f"{len(tracer.open_spans())} spans never closed")
@@ -113,7 +107,8 @@ def main(argv=None) -> int:
         f"untraced: end={ref_end:.9f}s analytic_flows={ref_flows}\n"
         f"traced:   end={job.sim.now:.9f}s analytic_flows=0 "
         f"spans={len(tracer.spans)} instants={len(tracer.instants)}\n"
-        f"rdma_write spans={span_writes} events={event_writes}\n"
+        f"rdma_write WR spans={span_writes} holds={holds} "
+        f"link spans={link_spans}\n"
         f"metrics keys={len(snap)} "
         f"p99(put:pipeline-gdr-write)={snap.get('probe.put:pipeline-gdr-write.p99')}\n"
         f"artifact: {path} ({len(doc['traceEvents'])} trace events)"

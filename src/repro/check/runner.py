@@ -11,9 +11,10 @@ full :class:`~repro.obs.metrics.MetricsSnapshot`.
 
 A run can be steered into any of the three execution modes under test:
 ``fastpath=False`` forces the event-accurate path, ``trace=True``
-attaches a :class:`~repro.obs.spans.SpanTracer` plus an event
-:class:`~repro.simulator.monitor.Trace` (which also disarms the fast
-paths), and ``Workload.faults`` arms a survivable seeded fault plan.
+attaches a :class:`~repro.obs.spans.SpanTracer` (which also disarms the
+fast paths) and tallies its ``rdma_write`` work requests and wire holds
+for the span-parity oracle, and ``Workload.faults`` arms a survivable
+seeded fault plan.
 
 ``corrupt_uid`` is the harness' self-test hook: after the program
 body finishes, the PE that executed that op flips one byte of the
@@ -58,9 +59,10 @@ class RunObservation:
     probe_series: Dict[str, Tuple[float, ...]] = field(default_factory=dict)
     stats: Dict[str, Any] = field(default_factory=dict)
     snapshot: Dict[str, Any] = field(default_factory=dict)
-    #: Span/event tallies (only filled for ``trace=True`` runs).
+    #: Span tallies (only filled for ``trace=True`` runs): ``rdma_write``
+    #: work-request spans and ``rdma_write`` wire holds.
     span_rdma_writes: int = -1
-    event_rdma_writes: int = -1
+    rdma_write_holds: int = -1
     open_spans: int = -1
     spans_total: int = -1
 
@@ -295,15 +297,13 @@ def run_workload(
     """Run ``w`` once and observe everything the oracles compare."""
     from repro.obs.metrics import snapshot_job
     from repro.obs.spans import SpanTracer
-    from repro.simulator.monitor import Trace
 
     plan = _fault_plan(w, _measure_start(w)) if w.faults else None
     job = _job_for(w, fault_plan=plan)
     job.sim.fastpath = fastpath
-    tracer = event_trace = None
+    tracer = None
     if trace:
         tracer = SpanTracer().attach(job.sim, label=f"check seed {w.seed}")
-        event_trace = Trace(filter=lambda ev: ev.name == "rdma_write").attach(job.sim)
     res = job.run(_make_program(w, corrupt_uid))
 
     mode = "traced" if trace else ("fast" if fastpath else "event")
@@ -324,10 +324,8 @@ def run_workload(
     obs.stats = job.sim.stats.as_dict()
     obs.snapshot = snapshot_job(job).as_dict()
     if trace:
-        obs.span_rdma_writes = sum(
-            1 for s in tracer.by_name("rdma_write") if s.cat == "ib"
-        )
-        obs.event_rdma_writes = len(event_trace.records)
+        obs.span_rdma_writes = sum(1 for s in tracer.by_name("rdma_write") if s.cat == "ib")
+        obs.rdma_write_holds = tracer.holds("rdma_write")
         obs.open_spans = len(tracer.open_spans())
         obs.spans_total = len(tracer.spans)
         tracer.detach(job.sim)

@@ -287,10 +287,12 @@ class TransferSpec:
             if tracer is not None:
                 # One completed crossing per hop direction, recorded
                 # post-hoc so the span costs nothing on the timed path.
-                for d in directions:
+                # ``leg`` numbers the directions of this one hold, so
+                # ``leg == 0`` spans count holds.
+                for leg, d in enumerate(directions):
                     tracer.complete(
                         sim, self.label, "link", f"link:{d.name}",
-                        hold_start, nbytes=self.nbytes,
+                        hold_start, nbytes=self.nbytes, leg=leg,
                     )
             for d, mark in marks:
                 if d.failed_since(mark, self.leg_label(d)):
@@ -325,9 +327,8 @@ class AnalyticTransfer:
     request or grant time, or a failure window overlapping the hold,
     fails :attr:`completion` with the same :class:`LinkDown` the
     generator would raise, at the same instant (the caller's ``yield``
-    re-raises it).  Commit sites must gate on ``sim.fastpath``, no
-    active fault plan, and no tracer/trace — :func:`analytic_execute`
-    is that gate.
+    re-raises it).  Commit sites must gate on
+    :attr:`Simulator.analytic_ok`; :func:`analytic_execute` is that gate.
     """
 
     __slots__ = (
@@ -467,16 +468,12 @@ def analytic_execute(sim: Simulator, spec: TransferSpec) -> Optional[Event]:
     """The commit gate for :class:`AnalyticTransfer`.
 
     Returns the completion event to yield on, or ``None`` when the
-    event path must run (fast paths disabled, a fault plan is armed, or
-    a tracer/trace needs the per-event hooks that only ``execute``
-    provides).  Counted into the ``analytic_flows`` statistic.
+    event path must run (:attr:`Simulator.analytic_ok` is false: fast
+    paths disabled, a fault plan armed, or a span tracer needing the
+    per-hold hooks only ``execute`` provides).  Counted into the
+    ``analytic_flows`` statistic.
     """
-    if (
-        sim.fastpath
-        and not sim.faults_active
-        and sim.trace is None
-        and sim.tracer is None
-    ):
+    if sim.analytic_ok:
         tr = AnalyticTransfer(sim, spec)
         if tr.boot_exc is not None:
             # The generator would have raised before its first yield —

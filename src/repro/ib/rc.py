@@ -55,10 +55,10 @@ class RCTransport:
         sim = self.sim
         attempt = 0
         # Span ledger: how many times this WR actually held the wire
-        # (fired its hold event).  A successful attempt holds once; an
-        # in-flight loss held the wire before failing; an acquire-time
-        # loss never held it.  One ``rdma_write`` call opens one span
-        # but fires one hold *per wire crossing*, so the surplus
+        # (recorded its link-hold spans).  A successful attempt holds
+        # once; an in-flight loss held the wire before failing; an
+        # acquire-time loss never held it.  One ``rdma_write`` call
+        # opens one span but holds once *per wire crossing*, so the surplus
         # (retransmitted holds) and the deficit (zero-hold aborts) are
         # tallied here — the single place both asymmetries originate —
         # for the span-parity oracle to reconcile.

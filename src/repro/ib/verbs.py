@@ -189,14 +189,13 @@ class Verbs:
         dst_ptr = remote_mr.ptr(remote_offset)
         p = self.params
         sim = self.sim
+        an = self._write_analytic(
+            ep, local, remote_mr, dst_ptr, nbytes, remote_hca, posted, delivered
+        )
+        if an is not None:
+            yield an
+            return nbytes
         tracer = sim.tracer
-        if tracer is None:
-            an = self._write_analytic(
-                ep, local, remote_mr, dst_ptr, nbytes, remote_hca, posted, delivered
-            )
-            if an is not None:
-                yield an
-                return nbytes
         span = None
         if tracer is not None:
             span = tracer.begin(
@@ -231,16 +230,11 @@ class Verbs:
         :class:`~repro.shmem.fastpath.AnalyticFlow` (same instants, same
         FIFO acquisition order, same failure surfacing — see its
         docstring) and return the ack-instant completion to yield on.
-        ``None`` falls back to the event path (fast paths off, faults or
-        RC retransmission armed, tracing active, or an unroutable
-        path)."""
+        ``None`` falls back to the event path (not
+        :attr:`Simulator.analytic_ok`, RC retransmission armed, or an
+        unroutable path)."""
         sim = self.sim
-        if not (
-            sim.fastpath
-            and not sim.faults_active
-            and sim.trace is None
-            and self.rc is None
-        ):
+        if not sim.analytic_ok or self.rc is not None:
             return None
         from repro.shmem.fastpath import AnalyticFlow
 

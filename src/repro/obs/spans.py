@@ -10,18 +10,21 @@ paper's Figs 6-12 and Table III reason about.
 Emission is pull-free and costless when disabled: every hook guards on
 ``sim.tracer is None`` (one attribute load), nothing is recorded, and
 the analytic fast paths stay armed.  Attaching a :class:`SpanTracer`
-flips the same gate the event :class:`~repro.simulator.monitor.Trace`
-uses, so a traced run takes the event-accurate path and its spans map
-one-to-one onto real scheduler events — while leaving every simulated
-timestamp bit-identical (spans only *read* ``sim.now``).
+clears :attr:`~repro.simulator.core.Simulator.analytic_ok`, so a traced
+run takes the event-accurate path and every link hold records its
+spans — while leaving every simulated timestamp bit-identical (spans
+only *read* ``sim.now``).  It is the repo's one tracer: the timeline
+breakdowns, the determinism tests and the span-parity oracle all read
+it.
 
-Like the event trace, the collector is bounded: past ``limit`` spans
-it counts drops in :attr:`SpanTracer.dropped` and flags
-:attr:`SpanTracer.truncated` instead of silently losing data.
+The collector is bounded: past ``limit`` spans it counts drops in
+:attr:`SpanTracer.dropped` and flags :attr:`SpanTracer.truncated`
+instead of silently losing data.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -77,9 +80,12 @@ class SpanTracer:
         self.instants: List[Instant] = []
         self.dropped = 0
         self._limit = limit
-        #: id(sim) -> scope index; each attached simulator becomes one
-        #: "process" in the Chrome export.
-        self._scopes: Dict[int, int] = {}
+        #: sim -> scope index; each attached simulator becomes one
+        #: "process" in the Chrome export.  Weakly keyed, and indices
+        #: come from a counter, so a collected simulator's scope is
+        #: never inherited by a new one (``id()`` values get reused).
+        self._scopes: "weakref.WeakKeyDictionary[Simulator, int]" = weakref.WeakKeyDictionary()
+        self._nscopes = 0
         #: scope index -> human label ("enhanced-gdr x2PE"), if given.
         self._scope_labels: Dict[int, str] = {}
         #: (scope, track) -> stack of open spans, for nesting depth.
@@ -89,7 +95,7 @@ class SpanTracer:
     def attach(self, sim: Simulator, label: Optional[str] = None) -> "SpanTracer":
         """Start observing ``sim``.  Also disarms its analytic fast
         paths (they elide the very events spans describe)."""
-        scope = self._scopes.setdefault(id(sim), len(self._scopes))
+        scope = self._scope(sim)
         if label is not None:
             self._scope_labels.setdefault(scope, label)
         sim.tracer = self
@@ -100,14 +106,18 @@ class SpanTracer:
             sim.tracer = None
 
     def _scope(self, sim: Simulator) -> int:
-        return self._scopes.setdefault(id(sim), len(self._scopes))
+        scope = self._scopes.get(sim)
+        if scope is None:
+            scope = self._scopes[sim] = self._nscopes
+            self._nscopes += 1
+        return scope
 
     def scope_label(self, scope: int) -> str:
         return self._scope_labels.get(scope, f"job {scope}")
 
     @property
     def nscopes(self) -> int:
-        return len(self._scopes)
+        return self._nscopes
 
     @property
     def truncated(self) -> bool:
@@ -171,6 +181,14 @@ class SpanTracer:
 
     def by_cat(self, cat: str) -> List[Span]:
         return [s for s in self.spans if s.cat == cat]
+
+    def holds(self, label: str) -> int:
+        """Link holds of transfers labelled ``label``.  A hold records
+        one ``link`` span per hop direction, numbered by its ``leg``
+        arg, so only the ``leg == 0`` span counts."""
+        return sum(
+            1 for s in self.spans if s.name == label and s.cat == "link" and s.args["leg"] == 0
+        )
 
     def tracks(self) -> List[str]:
         return sorted({s.track for s in self.spans} | {i.track for i in self.instants})

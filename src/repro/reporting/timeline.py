@@ -1,11 +1,12 @@
-"""Timeline analysis: link utilization and event breakdowns from traces.
+"""Timeline analysis: link utilization and span breakdowns.
 
-Attach a :class:`~repro.simulator.monitor.Trace` to a job's simulator
-and this module turns the fired-event log into per-category time
-breakdowns and a textual activity report — the poor man's Vampir for
-the simulated cluster.  Used by tests to assert *where* time goes
-(e.g. "the baseline spends target-side time the proposed design does
-not") and by users to understand a protocol's anatomy.
+Attach a :class:`~repro.obs.spans.SpanTracer` to a job's simulator and
+this module turns its op, work-request and link-hold intervals into a
+per-category count and virtual-time breakdown — which PCIe, GDR and IB
+legs the bytes crossed and for how long, the anatomy the paper's Figs
+6-12 and Table III argue from.  Used by tests to assert *where* time
+goes (e.g. "host-pipeline pays an H2D leg enhanced-GDR does not") and
+by users to understand a protocol's anatomy.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.cluster import ClusterHardware
+from repro.obs.spans import SpanTracer
 from repro.reporting.format import format_table
-from repro.simulator import Trace
 
 
-#: Event-name prefixes grouped into protocol phases for breakdowns.
+#: Link-hold labels (the transfer spec's label) grouped into legs.
 CATEGORIES = (
     ("rdma_write", "rdma"),
     ("rdma_read", "rdma"),
@@ -29,17 +30,6 @@ CATEGORIES = (
     ("ibWire", "wire"),
     ("hostMemcpy", "host-copy"),
     ("hcaHostDMA", "hca-dma"),
-    ("shmem:", "software"),
-    ("hp:", "pipeline"),
-    ("pgw:", "pipeline"),
-    ("proxy:", "proxy"),
-    ("proxy-get", "proxy"),
-    ("proxy-put", "proxy"),
-    ("msg:", "msg"),
-    ("atomic", "atomics"),
-    ("init:", "init"),
-    ("rc:", "reliability"),
-    ("flap:", "faults"),
 )
 
 
@@ -51,35 +41,50 @@ def categorize(name: str) -> Optional[str]:
 
 
 @dataclass
-class EventCount:
+class SpanCount:
     category: str
-    events: int
+    spans: int
+    seconds: float
 
     def row(self) -> List[str]:
-        return [self.category, str(self.events)]
+        return [self.category, str(self.spans), f"{self.seconds:.6g}"]
 
 
-def event_breakdown(trace: Trace, strict: bool = True) -> List[EventCount]:
-    """Count fired events per protocol category.
+def event_breakdown(tracer: SpanTracer, strict: bool = True) -> List[SpanCount]:
+    """Span count and summed virtual seconds per category.
 
-    A truncated trace (records dropped past its limit) undercounts
-    every category; by default that raises so an analysis can never
-    silently report partial numbers.  Pass ``strict=False`` to get the
-    partial counts anyway (as :func:`breakdown_table` does, which flags
-    the truncation in its rendering instead).
+    Link spans group by label (:data:`CATEGORIES`; an unlisted label is
+    its own category), every other span by its ``cat`` (``shmem``,
+    ``ib``, ``msg``), and ``route:<protocol>`` instants by protocol
+    (zero seconds each).  Each link hold records one span per hop
+    direction, so link counts are direction-crossings.
+
+    A truncated tracer (spans dropped past its limit) undercounts every
+    category; by default that raises so an analysis can never silently
+    report partial numbers.  Pass ``strict=False`` to get the partial
+    counts anyway (as :func:`breakdown_table` does, which flags the
+    truncation in its rendering instead).
     """
-    if strict and getattr(trace, "truncated", False):
+    if strict and tracer.truncated:
         raise ValueError(
-            f"trace is truncated ({trace.dropped} events dropped past its "
-            "limit); breakdown would undercount — raise Trace(limit=...) "
+            f"tracer is truncated ({tracer.dropped} spans dropped past its "
+            "limit); breakdown would undercount — raise SpanTracer(limit=...) "
             "or pass strict=False for partial counts"
         )
     counts: Dict[str, int] = defaultdict(int)
-    for rec in trace.records:
-        cat = categorize(rec.name)
-        if cat:
-            counts[cat] += 1
-    return [EventCount(c, n) for c, n in sorted(counts.items(), key=lambda kv: -kv[1])]
+    seconds: Dict[str, float] = defaultdict(float)
+    for span in tracer.spans:
+        cat = (categorize(span.name) or span.name) if span.cat == "link" else span.cat
+        counts[cat] += 1
+        if span.end is not None:
+            seconds[cat] += span.end - span.start
+    for inst in tracer.instants:
+        if inst.cat == "route":
+            counts[inst.name] += 1
+    return [
+        SpanCount(c, counts[c], seconds[c])
+        for c in sorted(counts, key=lambda c: (-seconds[c], -counts[c], c))
+    ]
 
 
 def link_utilization(hw: ClusterHardware, elapsed: float) -> List[Tuple[str, int, int, float]]:
@@ -118,16 +123,16 @@ def utilization_table(hw: ClusterHardware, elapsed: float, top: int = 12) -> str
     )
 
 
-def breakdown_table(trace: Trace) -> str:
+def breakdown_table(tracer: SpanTracer) -> str:
     table = format_table(
-        ["category", "events"],
-        [e.row() for e in event_breakdown(trace, strict=False)],
-        title="Fired-event breakdown",
+        ["category", "spans", "virtual s"],
+        [e.row() for e in event_breakdown(tracer, strict=False)],
+        title="Span breakdown",
     )
-    if getattr(trace, "truncated", False):
+    if tracer.truncated:
         table += (
-            f"\nWARNING: trace truncated — {trace.dropped} events dropped "
-            "past the record limit; counts above are partial"
+            f"\nWARNING: trace truncated — {tracer.dropped} spans dropped "
+            "past the tracer limit; counts above are partial"
         )
     return table
 

@@ -57,8 +57,9 @@ class AnalyticFlow:
     Any exception in a timed callback (e.g. a source read racing a
     free) fails ``posted``/``completion`` at the instant the event
     path's process would have died, so error surfacing is preserved.
-    The commit sites gate hard — fastpath on, no tracer/trace, no
-    faults, no health tracker, no RC transport — and decline on any
+    The commit sites gate hard — :attr:`Simulator.analytic_ok` (fast
+    paths on, no faults, no tracer), no health tracker, no RC
+    transport — and decline on any
     setup-time validation error so the event path raises at the
     accurate instant.
     """

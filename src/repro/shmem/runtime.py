@@ -510,16 +510,15 @@ class Runtime:
         self._check_pe(pe)
         if nbytes <= 0:
             raise ShmemError(f"putmem of {nbytes} bytes")
+        fast = self._fast_rdma_put(ctx, dst, src, nbytes, pe)
+        if fast is not None:
+            posted, route, t0 = fast
+            yield posted
+            elapsed = self.sim.now - t0
+            ctx.probe.sample(f"put:{route.protocol.value}", elapsed)
+            ctx.probe.sample(f"pe{ctx.pe}.put:{route.protocol.value}", elapsed)
+            return None
         tracer = self.sim.tracer
-        if tracer is None:
-            fast = self._fast_rdma_put(ctx, dst, src, nbytes, pe)
-            if fast is not None:
-                posted, route, t0 = fast
-                yield posted
-                elapsed = self.sim.now - t0
-                ctx.probe.sample(f"put:{route.protocol.value}", elapsed)
-                ctx.probe.sample(f"pe{ctx.pe}.put:{route.protocol.value}", elapsed)
-                return None
         op_span = None
         if tracer is not None:
             op_span = tracer.begin(
@@ -585,18 +584,12 @@ class Runtime:
         Returns ``(posted, route, t0)`` for the caller to yield/sample
         on, or ``None`` to take the event path.  Declines whole-hog on
         any validation error so the event path raises at the accurate
-        instant, and whenever tracing, faults, health tracking or RC
-        retransmission are active — those layers hook the event path.
+        instant, and whenever :attr:`Simulator.analytic_ok` is false or
+        health tracking or RC retransmission are active — those layers
+        hook the event path.
         """
         sim = self.sim
-        if not (
-            sim.fastpath
-            and not sim.faults_active
-            and sim.trace is None
-            and sim.tracer is None
-            and self.health is None
-            and self.verbs.rc is None
-        ):
+        if not sim.analytic_ok or self.health is not None or self.verbs.rc is not None:
             return None
         alloc = src.alloc
         key = (ctx.pe, pe, alloc.kind, alloc.device_id, dst.domain, nbytes)

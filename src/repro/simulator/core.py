@@ -21,10 +21,11 @@ the current instant; timeouts are always NORMAL), so draining the
 ready queue before the heap reproduces the exact
 ``(time, priority, seq)`` order the old single-heap scheduler
 produced.  Process resumptions ride the ready queue as plain
-``(process, value, exc)`` tuples instead of throwaway ``boot``/``imm``
-Event allocations; when a :class:`~repro.simulator.monitor.Trace` is
-attached the engine falls back to real Events so traces keep their
-full event-per-resume fidelity.
+``(process, value, exc)`` tuples instead of throwaway Event
+allocations; that is the only resume path, traced or not.  Tracing
+lives above the engine: :class:`~repro.obs.spans.SpanTracer` records
+op, work-request and link-hold intervals from the layers that know
+them, so the scheduler loop carries no observer hook.
 
 The analytic fast paths' wake-ups share the heap and its ``(time,
 seq)`` key, and so fire in exactly the order the event path's
@@ -81,7 +82,7 @@ class SimStats:
     ``rdma_write`` work requests: extra wire holds re-priced by
     retransmission after an in-flight loss, and WRs that exhausted
     retry without ever holding the wire.  The span-parity oracle uses
-    them to reconcile one-span-per-WR against one-event-per-hold.
+    them to reconcile one-span-per-WR against the link spans' holds.
 
     The two-sided messaging layer (:mod:`repro.msg`) adds
     ``msg_eager``/``msg_rendezvous`` (matched message pairs by
@@ -287,12 +288,7 @@ class Process(Event):
         self._gen = gen
         self._waiting_on: Optional[Event] = None
         # Kick-start at the current instant.
-        if sim.trace is None:
-            sim._push_resume(self, None, None)
-        else:
-            boot = Event(sim, name=f"{self.name}:boot")
-            boot.callbacks.append(self._resume)
-            boot.succeed(priority=URGENT)
+        sim._push_resume(self, None, None)
 
     @property
     def is_alive(self) -> bool:
@@ -335,15 +331,7 @@ class Process(Event):
         self._waiting_on = target
         if target._processed:
             # Already fired: resume immediately (next scheduler step).
-            if sim.trace is None:
-                sim._push_resume(self, target._value, target._exc)
-            else:
-                resume = Event(self.sim, name=f"{self.name}:imm")
-                resume._value = target._value
-                resume._exc = target._exc
-                resume.callbacks.append(self._resume)
-                resume._triggered = True
-                self.sim._push(resume, 0.0, URGENT)
+            sim._push_resume(self, target._value, target._exc)
         else:
             target.callbacks.append(self._resume)
 
@@ -378,22 +366,32 @@ class Simulator:
         self._now: float = 0.0
         self._seq: int = 0
         self._active_process: Optional[Process] = None
-        self.trace = None  # type: Optional[Any]  # set by monitor.Trace.attach
         #: Span collector (:class:`repro.obs.spans.SpanTracer`) or None.
         #: Emission sites across the runtime/ib/hardware layers guard on
-        #: this; like ``trace``, an attached tracer disarms the analytic
-        #: fast paths so spans map 1:1 onto event-accurate scheduling.
+        #: this; an attached tracer disarms the analytic fast paths (see
+        #: :attr:`analytic_ok`) so spans map 1:1 onto event-accurate
+        #: scheduling.
         self.tracer = None  # type: Optional[Any]
         self.stats = SimStats()
         self._flushed = SimStats()
         #: Master switch for the analytic closed-form transfer paths in
-        #: the hardware/ib/runtime layers.  They additionally require no
-        #: trace; tests flip this off to force the event-accurate path.
+        #: the hardware/ib/runtime layers; tests flip this off to force
+        #: the event-accurate path.
         self.fastpath = True
         #: Set by :class:`repro.faults.FaultInjector` when a fault plan
-        #: is attached.  The analytic fast paths consult it and decline:
-        #: fault handling hooks the event path.
+        #: is attached: fault handling hooks the event path.
         self.faults_active = False
+
+    @property
+    def analytic_ok(self) -> bool:
+        """May the analytic tier replay a transfer here?
+
+        The one eligibility policy every commit site shares: fast paths
+        on, no fault plan armed, and no span tracer attached (spans
+        describe the event path's holds).  Callers add only their own
+        layer's conditions (RC retransmission, path health).
+        """
+        return self.fastpath and not self.faults_active and self.tracer is None
 
     # -- clock ---------------------------------------------------------
     @property
@@ -469,14 +467,10 @@ class Simulator:
                 proc, value, exc = item
                 proc._step(value, exc)
                 return
-            if self.trace is not None:
-                self.trace._on_fire(self._now, item)
             item._run_callbacks()
             return
         when, _seq, event = heapq.heappop(self._queue)
         self._now = when
-        if self.trace is not None:
-            self.trace._on_fire(self._now, event)
         event._run_callbacks()
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:

@@ -7,14 +7,15 @@ engine)."""
 
 import pytest
 
+from repro.obs import SpanTracer
 from repro.shmem import Domain, ShmemJob
-from repro.simulator import Simulator, Trace
+from repro.simulator import Simulator
 from repro.units import KiB, MiB
 
 
 def _busy_job():
     job = ShmemJob(nodes=2, design="enhanced-gdr")
-    trace = Trace().attach(job.sim)
+    tracer = SpanTracer().attach(job.sim)
 
     def main(ctx):
         sym = yield from ctx.shmalloc(1 * MiB, domain=Domain.GPU)
@@ -31,18 +32,24 @@ def _busy_job():
         return ctx.now
 
     res = job.run(main)
-    return res, trace
+    return res, job, tracer
+
+
+def _timeline(tracer):
+    spans = [(s.name, s.cat, s.track, s.start, s.end, s.args) for s in tracer.spans]
+    instants = [(i.name, i.cat, i.track, i.time, i.args) for i in tracer.instants]
+    return spans, instants
 
 
 def test_repeated_runs_identical_to_the_femtosecond():
-    res1, trace1 = _busy_job()
-    res2, trace2 = _busy_job()
+    res1, job1, tracer1 = _busy_job()
+    res2, job2, tracer2 = _busy_job()
     assert res1.results == res2.results
     assert res1.elapsed == res2.elapsed  # exact float equality, no tolerance
-    assert trace1.names() == trace2.names()
-    times1 = [r.time for r in trace1.records]
-    times2 = [r.time for r in trace2.records]
-    assert times1 == times2
+    spans1, instants1 = _timeline(tracer1)
+    assert spans1 and instants1
+    assert (spans1, instants1) == _timeline(tracer2)
+    assert job1.sim.stats.as_dict() == job2.sim.stats.as_dict()
 
 
 def test_equal_time_events_fire_in_submission_order():

@@ -17,7 +17,7 @@ from repro.errors import RetryExceeded, ShmemError
 from repro.faults import FaultPlan
 from repro.hardware.params import wilkes_params
 from repro.shmem.job import ShmemJob
-from repro.simulator import Trace
+from repro.obs import SpanTracer
 from repro.units import KiB, usec
 
 
@@ -27,8 +27,6 @@ def _job():
 
 def _run(program, *, fastpath=True, trace=False):
     """Run ``program``; return (results, match_log, counters)."""
-    from repro.obs.spans import SpanTracer
-
     job = _job()
     job.sim.fastpath = fastpath
     tracer = None
@@ -262,12 +260,12 @@ def test_staged_transport_lands_device_payloads(nbytes):
     rc = _job()
     rc.run(_device_send(nbytes, "rc"))
     staged = _job()
-    trace = Trace(filter=lambda ev: ev.name == "msg:chunk")
-    trace.attach(staged.sim)
+    tracer = SpanTracer().attach(staged.sim)
     res = staged.run(_device_send(nbytes, "staged"))
     assert res.results[2] is True
-    chunk_events = sum(rec.kind == "Event" for rec in trace.records)
-    assert chunk_events == -(-nbytes // _CHUNK)  # one per chunk
+    chunks = -(-nbytes // _CHUNK)
+    for leg in ("cudaMemcpyD2H", "cudaMemcpyH2D"):  # one stage each way per chunk
+        assert sum(s.cat == "link" for s in tracer.by_name(leg)) == chunks
     # Same match, same protocol, same time; only the transport differs.
     def without_transport(log):
         return [row[:5] + row[6:] for row in log]

@@ -24,7 +24,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.shmem import Domain, ShmemJob
-from repro.simulator import Probe, Simulator, Trace
+from repro.simulator import Probe, Simulator
 from repro.units import KiB, MiB
 
 
@@ -108,6 +108,23 @@ def test_tracer_queries_and_scopes():
     assert [s.name for s in tr.by_cat("shmem")] == ["put", "get"]
     assert [s.scope for s in tr.by_name("get")] == [1]
     assert tr.tracks() == ["pe0", "pe1"]
+
+
+def test_collected_simulator_scope_is_never_reused():
+    """A new simulator allocated at a collected one's address must open
+    its own scope, not inherit the dead one's index and label."""
+    import gc
+
+    tr = SpanTracer()
+    for job in range(50):
+        sim = Simulator()
+        tr.attach(sim, label=f"job{job}")
+        tr.instant(sim, "route:x", "route", "pe0", job=job)
+        del sim
+        gc.collect()
+    assert tr.nscopes == 50
+    for inst in tr.instants:
+        assert tr.scope_label(inst.scope) == f"job{inst.args['job']}"
 
 
 # =============================================================== export
@@ -232,6 +249,37 @@ def test_traced_get_and_atomics_emit_spans():
     assert tracer.open_spans() == []
 
 
+def test_link_spans_conserve_link_counters():
+    """On the traced Fig 8 sweep (16 KiB .. 4 MiB D-D puts), every link
+    direction's span count and span bytes equal its ``transfers`` and
+    ``bytes_moved`` counters, and its summed hold time fits the run."""
+    from collections import defaultdict
+
+    import repro.bench.latency as lat
+    from repro.reporting.timeline import link_utilization
+
+    job = ShmemJob(
+        nodes=2, pes_per_node=1, design="enhanced-gdr",
+        host_heap_size=32 * MiB, gpu_heap_size=32 * MiB,
+    )
+    tracer = SpanTracer().attach(job.sim)
+    sizes = [16 * KiB << i for i in range(9)]
+    job.run(lat._sweep_program("put", sizes, Domain.GPU, Domain.GPU, "far"))
+    elapsed = job.sim.now
+    count, nbytes, busy = defaultdict(int), defaultdict(int), defaultdict(float)
+    for span in tracer.by_cat("link"):
+        count[span.track] += 1
+        nbytes[span.track] += span.args["nbytes"]
+        busy[span.track] += span.duration
+    rows = link_utilization(job.hw, elapsed)
+    assert len(rows) >= 10  # GPU, HCA-PCIe and port directions on both nodes
+    assert {f"link:{name}" for name, *_ in rows} == set(count)
+    for name, transfers, moved, _mbps in rows:
+        track = f"link:{name}"
+        assert (count[track], nbytes[track]) == (transfers, moved), name
+        assert busy[track] <= elapsed, name
+
+
 def test_install_hook_attaches_new_jobs():
     tracer = SpanTracer()
     install(tracer)
@@ -326,51 +374,6 @@ def test_snapshot_stats_prefixes_counters():
     out = snapshot_stats(stats)
     assert out["engine.scheduled"] == 5
     assert "engine.degraded_time" in out
-
-
-# =================================================== trace mid-run attach
-def test_trace_attach_converts_queued_fastpath_tuples():
-    """Attaching an event Trace mid-run must convert the fast-path
-    resume tuples already queued (which bypass the trace hook) into
-    real events, so no queued wake-up is lost or left unobserved."""
-    sim = Simulator()
-    order = []
-
-    def worker(sim):
-        order.append("worker")
-        yield sim.timeout(1.0)
-        order.append("worker-done")
-
-    trace = Trace()
-
-    def attacher(sim):
-        # Spawn ``worker`` mid-run: its boot resume sits in
-        # ``sim._ready`` as a raw fast-path tuple at this instant.
-        sim.process(worker(sim))
-        assert any(item.__class__ is tuple for item in sim._ready)
-        trace.attach(sim)
-        assert not any(item.__class__ is tuple for item in sim._ready)
-        order.append("attached")
-        yield sim.timeout(0.5)
-
-    sim.process(attacher(sim))
-    sim.run()
-    assert order == ["attached", "worker", "worker-done"]
-    # The converted boot event was observed by the trace.
-    assert any(name.endswith(":imm") for name in trace.names())
-
-
-def test_trace_attach_before_run_keeps_results():
-    sim = Simulator()
-
-    def producer(sim):
-        yield sim.timeout(1.0)
-        return 42
-
-    p = sim.process(producer(sim))
-    Trace().attach(sim)  # p's boot tuple converted here
-    sim.run()
-    assert p.value == 42
 
 
 # ===================================================== collect hoisting
