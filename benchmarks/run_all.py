@@ -114,57 +114,6 @@ def faults_off_baseline(repeats: int = 7) -> dict:
     }
 
 
-def run_via_service(targets, quick, profile, url, verbose=False):
-    """Drive the sweep through a running ``repro serve`` instance.
-
-    Submits one sweep job per target in a single batch, waits for all
-    of them, and rebuilds the usual :class:`SweepReport` from the
-    service's result records — which are produced by the *same* worker
-    (``repro.bench.runner._run_one``) and cached under the *same* disk
-    key, so ``output_sha256`` is bit-identical to a local run.
-    """
-    from repro.bench.runner import SweepReport, TargetResult, code_fingerprint
-    from repro.serve.client import JobFailed, ServeClient
-
-    report = SweepReport(fingerprint=code_fingerprint(), quick=quick, jobs=0)
-    with ServeClient(url, timeout=120.0) as client:
-        specs = [
-            {"kind": "sweep", "experiment": t, "quick": quick, "profile": profile}
-            for t in targets
-        ]
-        acks = client.submit_batch(specs)
-        for target, ack in zip(targets, acks):
-            try:
-                detail = client.wait(ack["id"], raise_on_failure=True)
-                rec = detail["result"]
-                cached = bool(
-                    ack.get("dedup") == "cached"
-                    or detail.get("cached")
-                    or rec.get("cached")
-                )
-                err = rec.get("error")
-            except JobFailed as exc:
-                detail = exc.detail
-                rec, cached = {}, False
-                err = detail.get("error") or detail.get("state")
-            report.targets.append(TargetResult(
-                exp_id=target,
-                wall_seconds=rec.get("wall_seconds", 0.0),
-                output_sha256=rec.get("output_sha256", ""),
-                sim_stats=rec.get("sim_stats", {}),
-                cached=cached,
-                error=err,
-                metrics=rec.get("metrics", {}),
-                profile=rec.get("profile", {}),
-            ))
-            if verbose:
-                flag = f"ERROR {err}" if err else (
-                    "cache hit" if cached else f"{rec.get('wall_seconds', 0.0):.2f}s"
-                )
-                print(f"  serve      {target} ({flag})")
-    return report
-
-
 def crossover_study(thresholds_csv: str, transports_csv: str, out_path, quick: bool) -> dict:
     """Run the eager/rendezvous + RC/UD crossover study and archive it.
 
@@ -229,9 +178,6 @@ def main(argv=None) -> int:
                          "phase, per-tier analytic counters) in the report")
     ap.add_argument("--faults", choices=["off"], default=None,
                     help="'off': also run the no-fault-plan zero-overhead probe")
-    ap.add_argument("--serve", metavar="URL", default=None,
-                    help="run the sweep through a 'repro serve' service at URL "
-                         "instead of an in-process pool (bit-identical records)")
     ap.add_argument("--crossover", action="store_true",
                     help="also run the eager/rendezvous + RC/UD crossover "
                          "study (implied by --smoke, quick sizes there)")
@@ -254,22 +200,14 @@ def main(argv=None) -> int:
 
     targets = SMOKE_TARGETS if args.smoke else list(EXPERIMENTS)
     t0 = time.perf_counter()
-    if args.serve:
-        report = run_via_service(
-            targets, quick=args.smoke, profile=args.profile,
-            url=args.serve, verbose=args.verbose,
-        )
-    else:
-        runner = SweepRunner(
-            cache_dir, jobs=args.jobs, quick=args.smoke, profile=args.profile
-        )
-        report = runner.run(targets, verbose=args.verbose)
+    runner = SweepRunner(
+        cache_dir, jobs=args.jobs, quick=args.smoke, profile=args.profile
+    )
+    report = runner.run(targets, verbose=args.verbose)
     sweep_wall = time.perf_counter() - t0
 
     doc = report.as_dict()
     doc["sweep_wall_seconds"] = sweep_wall
-    if args.serve:
-        doc["serve"] = {"url": args.serve}
     totals = doc["engine_totals"]
 
     if args.faults == "off":

@@ -57,11 +57,9 @@ def target_cache_key(
 ) -> str:
     """The memo key one experiment target caches under.
 
-    Shared between the sweep runner's disk cache and the ``repro
-    serve`` scheduler's dedup index, so a queued service request and a
-    disk record for the same work always collide: same target + flags
-    + source tree -> same key; a ``--profile`` variant (richer record)
-    or any code change -> a different key.
+    Same target + flags + source tree -> same key, so a repeated sweep
+    is answered from disk; a ``--profile`` variant (richer record) or
+    any code change -> a different key.
     """
     return hashlib.sha256(
         f"{exp_id}\x00quick={quick}\x00profile={profile}\x00{fingerprint}".encode()

@@ -1,8 +1,8 @@
 """Shared JSON artifact envelope + atomic writer.
 
 Every benchmark/CI artifact this repo archives (`check_smoke.json`,
-`BENCH_smoke.json`, the perf-smoke baseline, the `repro serve` soak
-report) used to hand-roll its own ``json.dumps`` + ``write_text``.
+`BENCH_smoke.json`, the perf-smoke baseline, the sweep runner's cache
+records) used to hand-roll its own ``json.dumps`` + ``write_text``.
 That had two costs: no common schema marker for downstream tooling to
 dispatch on, and non-atomic writes — a crash (or Ctrl-C) mid-dump
 leaves a torn file that later parses as garbage.  This module is the
@@ -16,23 +16,13 @@ single source of truth for both concerns:
 * :func:`read_json_artifact` loads a document and optionally checks
   the envelope kind, so a gate script fed the wrong report fails
   loudly instead of silently reading zeros.
-
-The ``repro serve`` write-ahead journal (DESIGN.md §10) adds an
-append-only flavour of the same concerns:
-
-* :func:`append_ndjson` appends one JSON document as a single
-  ``\\n``-terminated line and flushes it, so a killed process loses at
-  most the line it was mid-writing — never an earlier one;
-* :func:`read_ndjson` streams a journal back, tolerating exactly one
-  torn *trailing* line (the mid-write casualty of a crash) while still
-  failing loudly on corruption anywhere else.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
@@ -44,8 +34,8 @@ def artifact_doc(kind: str, payload: Dict[str, Any], version: int = 1) -> Dict[s
     """Wrap ``payload`` in the standard artifact envelope.
 
     ``kind`` names the report shape (``check_smoke``, ``sweep``,
-    ``perf_baseline``, ``serve_soak``, ...); the resulting document
-    carries ``schema = "repro/<kind>/v<version>"`` as its first key.
+    ``perf_baseline``, ...); the resulting document carries
+    ``schema = "repro/<kind>/v<version>"`` as its first key.
     """
     if not kind or "/" in kind:
         raise ValueError(f"artifact kind must be a bare name, got {kind!r}")
@@ -69,11 +59,12 @@ def write_json_artifact(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     body = json.dumps(doc, indent=indent) + "\n"
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
-    )
+    tmp = path.parent / f".{path.name}.{secrets.token_hex(6)}.tmp"
+    # Exclusive create with the default mode: the umask applies exactly
+    # as it does to ``open(path, "w")``, and ``os.replace`` keeps it.
+    fh = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(body)
         os.replace(tmp, path)
     except BaseException:
@@ -85,52 +76,16 @@ def write_json_artifact(
     return path
 
 
-def append_ndjson(
-    fh, doc: Dict[str, Any], fsync: bool = False
-) -> None:
-    """Append ``doc`` to an open NDJSON file handle as one line.
-
-    The line is written in a single ``write`` call and flushed, so an
-    abrupt process death (SIGKILL) can tear at most this line — bytes
-    already flushed reach the OS page cache, which survives the
-    process.  Pass ``fsync=True`` to additionally survive machine
-    crashes at a large per-append cost.
-    """
-    fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
-    fh.flush()
-    if fsync:
-        os.fsync(fh.fileno())
-
-
-def read_ndjson(path: Union[str, Path], tolerate_torn_tail: bool = True):
-    """Yield documents from an NDJSON file, skipping a torn last line.
-
-    A crash mid-append leaves at most one incomplete trailing line;
-    with ``tolerate_torn_tail`` (the default) that line is silently
-    dropped.  An unparsable line anywhere *else* is real corruption
-    and raises ``ValueError`` naming the offending line number.
-    """
-    path = Path(path)
-    if not path.exists():
-        return
-    lines = path.read_text().splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            yield json.loads(line)
-        except ValueError:
-            if tolerate_torn_tail and lineno == len(lines):
-                return
-            raise ValueError(f"{path}:{lineno}: corrupt NDJSON record") from None
-
-
 def read_json_artifact(path: Union[str, Path], kind: Optional[str] = None) -> Dict[str, Any]:
     """Load a JSON artifact, optionally verifying its envelope ``kind``."""
     doc = json.loads(Path(path).read_text())
     if kind is not None:
+        if not isinstance(doc, dict):
+            raise ValueError(
+                f"{path}: expected a {kind!r} artifact, got a JSON {type(doc).__name__}"
+            )
         schema = doc.get("schema", "")
-        if not schema.startswith(f"{SCHEMA_PREFIX}/{kind}/"):
+        if not (isinstance(schema, str) and schema.startswith(f"{SCHEMA_PREFIX}/{kind}/")):
             raise ValueError(
                 f"{path}: expected a {kind!r} artifact, got schema {schema!r}"
             )

@@ -9,9 +9,9 @@ protocol selector, its Table I capabilities row, and the runtime
 construction flags (staging pools, proxy daemons, GPU-heap
 registration, device- vs host-initiated issue paths).  ``SELECTORS``
 and ``TABLE_I`` still exist as derived views for compatibility, and
-every lookup path — CLI, serve job specs, bench runner, the runtime
-itself — resolves through :func:`design_spec`, which raises the
-friendly :class:`~repro.errors.ShmemError` for unknown names.
+every lookup path — CLI, bench runner, the runtime itself — resolves
+through :func:`design_spec`, which raises the friendly
+:class:`~repro.errors.ShmemError` for unknown names.
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
 """Unit coverage for the cached sweep runner's reporting surface:
 engine-total aggregation over the analytic-tier counters, the
-``--profile`` breakdown, the cache-invalidation fingerprint, and the
-disk-cache key/store semantics shared with ``repro serve``."""
+``--profile`` breakdown, the cache-invalidation fingerprint, the
+disk-cache key/store semantics, and one end-to-end sweep through
+``_run_one`` checked against a direct ``run_experiment``."""
+
+import hashlib
 
 import repro.bench.runner as runner_mod
 from repro.bench.runner import (
@@ -13,6 +16,7 @@ from repro.bench.runner import (
     code_fingerprint,
     target_cache_key,
 )
+from repro.reporting.experiments import run_experiment
 
 
 def test_totals_aggregates_every_tier_counter():
@@ -128,3 +132,25 @@ def test_code_fingerprint_framing_is_unambiguous(tmp_path, monkeypatch):
     (tmp_path / "a.py").write_bytes(b"a")
     (tmp_path / "b.py").write_bytes(b"bc")
     assert code_fingerprint() != one
+
+
+def test_sweep_is_bit_identical_and_seeds_the_disk_cache(tmp_path):
+    local_sha = hashlib.sha256(run_experiment("fig6a", quick=True).encode()).hexdigest()
+
+    first = SweepRunner(tmp_path, jobs=1, quick=True).run(["fig6a"])
+    (ran,) = first.targets
+    assert ran.error is None and not ran.cached
+    assert ran.output_sha256 == local_sha
+    assert ran.sim_stats["processed"] > 0
+
+    # A second sweep over the same cache dir runs nothing.
+    again = SweepRunner(tmp_path, jobs=1, quick=True).run(["fig6a"])
+    assert again.cache_hits == 1 and again.cache_misses == 0
+    assert again.targets[0].output_sha256 == local_sha
+
+    # An unknown id fails in the worker and leaves no cache record.
+    before = sorted(tmp_path.iterdir())
+    bad = SweepRunner(tmp_path, jobs=1, quick=True).run(["fig99"])
+    assert bad.targets[0].error and "fig99" in bad.targets[0].error
+    assert bad.targets[0].output_sha256 == ""
+    assert sorted(tmp_path.iterdir()) == before

@@ -1,8 +1,13 @@
-"""Tests for table rendering and the experiment registry."""
+"""Tests for table rendering, the experiment registry and the JSON
+artifact helpers."""
+
+import json
+import stat
 
 import pytest
 
 from repro.reporting import EXPERIMENTS, format_series, format_table, run_experiment
+from repro.reporting.artifacts import artifact_doc, read_json_artifact, write_json_artifact
 from repro.shmem.capabilities import TABLE_I, capability_rows
 from repro.shmem.constants import Config
 
@@ -165,3 +170,42 @@ def test_breakdown_table_clean_trace_has_no_warning():
     tracer = _timed_holds(SpanTracer(), 1)
     assert not tracer.truncated
     assert "WARNING" not in breakdown_table(tracer)
+
+
+# -------------------------------------------------------- artifact helpers
+
+
+def test_artifact_roundtrip_and_schema_check(tmp_path):
+    path = tmp_path / "x.json"
+    write_json_artifact(path, artifact_doc("report", {"n": 1}))
+    doc = read_json_artifact(path, kind="report")
+    assert doc["schema"] == "repro/report/v1" and doc["n"] == 1
+    with pytest.raises(ValueError):
+        read_json_artifact(path, kind="other")
+    with pytest.raises(ValueError):
+        artifact_doc("bad/kind", {})
+    with pytest.raises(ValueError):
+        artifact_doc("k", {"schema": "clash"})
+    # A document that is not an object, or a non-string schema, fails the
+    # kind check with ValueError rather than an AttributeError.
+    for body in ('{"schema": 5}', "[1, 2]", "7", '"report"', "null"):
+        path.write_text(body)
+        with pytest.raises(ValueError, match="expected a 'report' artifact"):
+            read_json_artifact(path, kind="report")
+    assert read_json_artifact(path) is None
+
+
+def test_artifact_write_is_atomic_no_tmp_droppings(tmp_path):
+    path = tmp_path / "a.json"
+    for i in range(3):
+        write_json_artifact(path, {"i": i})
+    assert json.loads(path.read_text()) == {"i": 2}
+    assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+
+def test_artifact_write_mode_matches_plain_open(tmp_path):
+    plain = tmp_path / "plain.json"
+    with open(plain, "w") as fh:
+        fh.write("{}\n")
+    written = write_json_artifact(tmp_path / "artifact.json", {})
+    assert stat.S_IMODE(written.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
