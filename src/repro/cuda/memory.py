@@ -13,6 +13,7 @@ simulator ultimately goes through :meth:`Ptr.read` / :meth:`Ptr.write`.
 from __future__ import annotations
 
 import enum
+import mmap
 from typing import Optional
 
 import numpy as np
@@ -67,16 +68,25 @@ class Allocation:
 
     @property
     def data(self) -> np.ndarray:
-        """Backing buffer, zero-filled lazily on first touch.
+        """Backing buffer, mapped lazily on first touch.
 
         Simulated heaps are large (32 MiB symmetric heaps per PE) and
-        mostly cold; deferring the ``np.zeros`` until a pointer actually
+        mostly cold; deferring the mapping until a pointer actually
         reads or writes keeps allocation O(1) without changing observable
         contents — untouched memory still reads back as zeros.
+
+        Each buffer is its own private anonymous mapping rather than a
+        malloc'd block: once glibc's dynamic mmap threshold has risen,
+        megabyte-sized blocks come from the brk heap, where a live block
+        allocated later pins every freed one below it.  A mapping goes
+        back to the kernel whole when its last view dies.  Pages are
+        private, so reading a cold page maps the shared zero page
+        instead of allocating one.
         """
         buf = self._data
         if buf is None:
-            buf = self._data = np.zeros(self.size, dtype=np.uint8)
+            mapping = mmap.mmap(-1, self.size, flags=mmap.MAP_PRIVATE)
+            buf = self._data = np.frombuffer(mapping, dtype=np.uint8)
         return buf
 
     def ptr(self, offset: int = 0) -> "Ptr":

@@ -9,8 +9,8 @@ Attaching the injector (``FaultPlan.attach(job)`` /
   :class:`~repro.ib.rc.RCTransport` so every wire crossing gains RC
   retry semantics — and a :class:`~repro.faults.health.HealthTracker`
   consulted by the runtime's protocol selection;
-* flips ``sim.faults_active`` so the analytic fastpaths decline (their
-  closed-form plans cannot price mid-transfer failures).
+* flips ``sim.faults_active`` so the analytic replay declines (its
+  closed-form schedule cannot price mid-transfer failures).
 
 Nothing in the workload changes: the same program generator runs, the
 faults arrive underneath it.

@@ -10,13 +10,14 @@ explicitly, exactly like the real runtimes do).
 latency, an effective bandwidth, and the set of link directions the
 transfer must occupy.  ``TransferSpec.execute`` is the single code path
 through which *all* simulated data movement charges time, so failure
-injection and tracing hook in here.
+injection, tracing and the choice of the analytic replay
+(:class:`AnalyticTransfer`) hook in here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, LinkDown
 from repro.simulator import Event, Resource, Simulator
@@ -266,7 +267,20 @@ class TransferSpec:
         flight are lost (time was charged; the payload was not
         delivered).  The retry layer re-executes the spec, re-pricing
         the wire crossing.
+
+        When :attr:`Simulator.analytic_ok` holds, the same timeline is
+        replayed by an :class:`AnalyticTransfer` instead (counted in
+        ``analytic_flows``); this is the one place that choice is made
+        for every spec-driven crossing.
         """
+        if sim.analytic_ok:
+            hold = AnalyticTransfer(sim, self)
+            if hold.boot_exc is not None:
+                # The event path raises before its first yield, in the
+                # caller's frame; so does the replay.
+                raise hold.boot_exc
+            sim.stats.analytic_flows += 1
+            return (yield hold.completion)
         if self.setup:
             yield sim.timeout(self.setup, name=f"{self.label}:setup")
         directions = self.directions()
@@ -313,22 +327,21 @@ class TransferSpec:
 class AnalyticTransfer:
     """Callback-driven closed-form replay of one :meth:`TransferSpec.execute`.
 
-    The generic tier of the analytic engine: any ``yield from
-    spec.execute(sim)`` whose caller only needs the completion (memcpy,
-    memset, copy-based puts, MPI eager delivery) can instead commit one
-    of these and yield :attr:`completion`.  The replay acquires the very
-    same FIFO resources at the same instants as the generator would —
-    contended windows price themselves bit-identically — but elides the
-    per-hop generator resumes and the setup/hold ``Timeout``
-    allocations, scheduling its instants as absolute wake-ups on the
-    scheduler heap instead.
+    :meth:`TransferSpec.execute` commits one of these (and yields
+    :attr:`completion`) whenever :attr:`Simulator.analytic_ok` holds;
+    :class:`AnalyticFlow` builds one for the hold of a replayed put.
+    The replay acquires the very same FIFO resources at the same
+    instants as the generator would — contended windows price
+    themselves bit-identically — but elides the per-hop generator
+    resumes and the setup/hold ``Timeout`` allocations, scheduling its
+    instants as absolute wake-ups on the scheduler heap instead.
 
     Failure semantics mirror ``execute`` exactly: a matching failure at
     request or grant time, or a failure window overlapping the hold,
     fails :attr:`completion` with the same :class:`LinkDown` the
     generator would raise, at the same instant (the caller's ``yield``
-    re-raises it).  Commit sites must gate on
-    :attr:`Simulator.analytic_ok`; :func:`analytic_execute` is that gate.
+    re-raises it).  A failure before the first scheduler step lands in
+    :attr:`boot_exc` for the caller to raise in its own frame.
     """
 
     __slots__ = (
@@ -346,11 +359,19 @@ class AnalyticTransfer:
         "contended",
     )
 
-    def __init__(self, sim: Simulator, spec: TransferSpec):
+    def __init__(
+        self,
+        sim: Simulator,
+        spec: TransferSpec,
+        dirs: Optional[Sequence[LinkDirection]] = None,
+        duration: Optional[float] = None,
+    ):
         self.sim = sim
         self.spec = spec
-        self.dirs = spec.directions()
-        self.duration = spec.duration()
+        # A caller may pass the spec's (topology-pure, hence cacheable)
+        # acquisition order and pipelined duration.
+        self.dirs = spec.directions() if dirs is None else dirs
+        self.duration = spec.duration() if duration is None else duration
         self.completion = Event(sim, name="an-x:done")
         self._granted: List[Tuple[LinkDirection, object]] = []
         self._marks: List[Tuple[LinkDirection, int]] = []
@@ -364,10 +385,7 @@ class AnalyticTransfer:
             w.callbacks.append(self._acquire)
         else:
             # No setup leg: ``execute`` requests synchronously at the
-            # current instant, so we do too.  A failure here surfaces
-            # through ``boot_exc`` and is re-raised by the commit site
-            # in the caller's own frame — exactly where the generator
-            # would have raised it.
+            # current instant, so we do too.
             self._booting = True
             self._acquire(None)
             self._booting = False
@@ -403,10 +421,13 @@ class AnalyticTransfer:
         self._fire(exc=exc)
 
     def _acquire(self, ev: Optional[Event]) -> None:
-        # One resource request per scheduler step — granted requests
-        # re-enter from their own pop, matching the generator's
-        # ``yield req`` cadence (see AnalyticFlow._acquire for why
-        # inline chaining flips FIFO grants under 3-way contention).
+        # One resource request per scheduler step: re-entries arrive
+        # from each request's own pop, granted or queued, matching the
+        # generator's ``yield req`` cadence.  Chaining consecutive
+        # immediate grants inline here would jump ahead of same-instant
+        # parties whose resumes already sat in the ready queue, flipping
+        # a FIFO grant on a shared direction once three or more flows
+        # contend.
         if self._dead:
             return
         dirs = self.dirs
@@ -464,24 +485,120 @@ class AnalyticTransfer:
         self._fire(value=nbytes)
 
 
-def analytic_execute(sim: Simulator, spec: TransferSpec) -> Optional[Event]:
-    """The commit gate for :class:`AnalyticTransfer`.
+class AnalyticFlow:
+    """Closed-form replay of one signaled RDMA write, dispatch included.
 
-    Returns the completion event to yield on, or ``None`` when the
-    event path must run (:attr:`Simulator.analytic_ok` is false: fast
-    paths disabled, a fault plan armed, or a span tracer needing the
-    per-hold hooks only ``execute`` provides).  Counted into the
-    ``analytic_flows`` statistic.
+    The runtime's put commit (``Runtime._fast_rdma_put``) replays a
+    whole single-RDMA put without a ``Process``: this is the envelope
+    ``Verbs.rdma_write`` wraps around its hold, as absolutely-timed
+    wake-ups performing the same float operations in the same order:
+
+    * ``t_post = base + post_overhead``: payload snapshotted,
+      :attr:`posted` fires (the put-return instant the caller yields
+      on), source HCA tx counted, and the hold committed as an
+      :class:`AnalyticTransfer` over ``spec`` (setup, FIFO acquisition,
+      pipelined duration, ``LinkDown`` surfacing);
+    * hold end: target HCA rx counted, payload written, delivery
+      notified;
+    * ``t_ack = t_end + ack_latency``: :attr:`completion` fires with the
+      byte count (what ``shmem_quiet`` waits on).
+
+    Any failure (a source read racing a free, a link lost under the
+    hold) fails :attr:`completion` — and :attr:`posted`, if still
+    pending — at the instant the event path's process would have died.
     """
-    if sim.analytic_ok:
-        tr = AnalyticTransfer(sim, spec)
-        if tr.boot_exc is not None:
-            # The generator would have raised before its first yield —
-            # synchronously, in the caller's frame.  Do the same.
-            raise tr.boot_exc
-        sim.stats.analytic_flows += 1
-        return tr.completion
-    return None
+
+    __slots__ = (
+        "sim",
+        "spec",
+        "dirs",
+        "duration",
+        "src",
+        "dst_ptr",
+        "nbytes",
+        "ack_latency",
+        "src_hca",
+        "dst_hca",
+        "notify",
+        "posted",
+        "completion",
+        "payload",
+    )
+
+    def __init__(
+        self,
+        sim: Simulator,
+        spec: TransferSpec,
+        src,
+        dst_ptr,
+        nbytes: int,
+        base: float,
+        post_overhead: float,
+        ack_latency: float,
+        src_hca,
+        dst_hca,
+        notify: Callable[[], None],
+        dirs: Sequence[LinkDirection],
+        duration: float,
+    ):
+        self.sim = sim
+        self.spec = spec
+        self.dirs = dirs
+        self.duration = duration
+        self.src = src
+        self.dst_ptr = dst_ptr
+        self.nbytes = nbytes
+        self.ack_latency = ack_latency
+        self.src_hca = src_hca
+        self.dst_hca = dst_hca
+        self.notify = notify
+        self.posted = Event(sim, name="an:posted")
+        self.completion = Event(sim, name="an-flow:done")
+        self.payload: Optional[bytes] = None
+        w = sim.wake_at(base + post_overhead, name="an:post")
+        w.callbacks.append(self._at_posted)
+
+    def _at_posted(self, _ev: Event) -> None:
+        sim = self.sim
+        try:
+            self.payload = self.src.read(self.nbytes)
+        except BaseException as exc:  # surfaces where the event path's would
+            self.completion.fail(exc)
+            # The caller's pending resume defuses and re-raises, as
+            # _bridge_failure does for the event path's gate.
+            self.posted.fail(exc)
+            return
+        self.posted.succeed(sim.now)
+        self.src_hca.count_tx()
+        hold = AnalyticTransfer(sim, self.spec, self.dirs, self.duration)
+        if hold.boot_exc is not None:
+            self.completion.fail(hold.boot_exc)
+            return
+        hold.completion.callbacks.append(self._landed)
+
+    def _landed(self, ev: Event) -> None:
+        if ev._exc is not None:
+            ev.defuse()
+            self.completion.fail(ev._exc)
+            return
+        sim = self.sim
+        self.dst_hca.count_rx()
+        try:
+            self.dst_ptr.write(self.payload)
+        except BaseException as exc:
+            self.completion.fail(exc)
+            return
+        delivered = Event(sim, name="an:delivered")
+        delivered.callbacks.append(self._deliver)
+        delivered.succeed(sim.now)
+        ack = sim.wake_at(sim.now + self.ack_latency, name="an:ack")
+        ack.callbacks.append(self._complete)
+
+    def _deliver(self, _ev: Event) -> None:
+        self.notify()
+
+    def _complete(self, _ev: Event) -> None:
+        self.completion.succeed(self.nbytes)
 
 
 def chunked(nbytes: int, chunk: int) -> Sequence[int]:

@@ -21,7 +21,7 @@ Completion semantics:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Tuple
+from typing import Generator, Optional, Tuple
 
 from repro.cuda.memory import MemKind, Ptr
 from repro.errors import IBError
@@ -82,13 +82,6 @@ class Verbs:
         #: The attached :class:`repro.faults.FaultInjector`, if any
         #: (consulted by the CQ layer for completion-error bursts).
         self.faults = None
-        #: Analytic-write path cache: write paths are pure functions of
-        #: (endpoint, local buffer placement, remote region, size,
-        #: remote-HCA hint), so the analytic replay reuses one spec (plus
-        #: its acquisition order and pipelined duration) per signature.
-        #: Keyed by the remote region's rkey (unique per registration),
-        #: so a re-registration can never alias a stale path.
-        self._an_path_cache: Dict[tuple, tuple] = {}
 
     def _execute(self, spec: TransferSpec, hca=None) -> Generator:
         """Run a transfer spec, through the RC retry loop when one is
@@ -146,8 +139,8 @@ class Verbs:
         remote_hca: Optional[int] = None,
     ) -> Tuple[TransferSpec, "object"]:
         """The cut-through path :meth:`rdma_write` would execute, plus the
-        destination HCA.  Shared with the analytic fast paths so
-        both compute bit-identical transfer timings."""
+        destination HCA.  Shared with the runtime's analytic put
+        commit so both compute bit-identical transfer timings."""
         dst_node_id, dst_hca_id = self._remote_endpoint_hca(remote_mr, remote_hca)
         dst_hca = self.hw.nodes[dst_node_id].hcas[dst_hca_id]
         dst_pcie = self.hw.nodes[dst_node_id].pcie
@@ -189,12 +182,6 @@ class Verbs:
         dst_ptr = remote_mr.ptr(remote_offset)
         p = self.params
         sim = self.sim
-        an = self._write_analytic(
-            ep, local, remote_mr, dst_ptr, nbytes, remote_hca, posted, delivered
-        )
-        if an is not None:
-            yield an
-            return nbytes
         tracer = sim.tracer
         span = None
         if tracer is not None:
@@ -221,46 +208,6 @@ class Verbs:
             if tracer is not None:
                 tracer.end(sim, span)
         return nbytes
-
-    def _write_analytic(
-        self, ep, local, remote_mr, dst_ptr, nbytes, remote_hca, posted, delivered
-    ) -> Optional[Event]:
-        """Analytic commit for :meth:`rdma_write`: replay the whole
-        post/acquire/transmit/ack timeline through an
-        :class:`~repro.shmem.fastpath.AnalyticFlow` (same instants, same
-        FIFO acquisition order, same failure surfacing — see its
-        docstring) and return the ack-instant completion to yield on.
-        ``None`` falls back to the event path (not
-        :attr:`Simulator.analytic_ok`, RC retransmission armed, or an
-        unroutable path)."""
-        sim = self.sim
-        if not sim.analytic_ok or self.rc is not None:
-            return None
-        from repro.shmem.fastpath import AnalyticFlow
-
-        key = (id(ep), local.kind, local.alloc.device_id, remote_mr.rkey, nbytes, remote_hca)
-        entry = self._an_path_cache.get(key)
-        if entry is None:
-            try:
-                path, dst_hca = self.write_path(ep, local, remote_mr, nbytes, remote_hca)
-            except Exception:
-                return None  # event path raises at the accurate instant
-            entry = (path, dst_hca, tuple(path.directions()), path.duration())
-            self._an_path_cache[key] = entry
-        path, dst_hca, dirs, duration = entry
-        flow = AnalyticFlow(
-            sim, path, local, dst_ptr, nbytes,
-            base=sim.now,
-            post_overhead=self.params.rdma_post_overhead,
-            ack_latency=self.params.rdma_ack_latency,
-            src_hca=ep.hca, dst_hca=dst_hca,
-            notify=None,
-            dirs=dirs, duration=duration,
-            posted_ev=posted, delivered_ev=delivered,
-            sync_complete=True,
-        )
-        sim.stats.analytic_flows += 1
-        return flow.completion
 
     # ----------------------------------------------------------- RDMA read
     def rdma_read(

@@ -9,7 +9,7 @@ paper's Figs 6-12 and Table III reason about.
 
 Emission is pull-free and costless when disabled: every hook guards on
 ``sim.tracer is None`` (one attribute load), nothing is recorded, and
-the analytic fast paths stay armed.  Attaching a :class:`SpanTracer`
+the analytic replay stays armed.  Attaching a :class:`SpanTracer`
 clears :attr:`~repro.simulator.core.Simulator.analytic_ok`, so a traced
 run takes the event-accurate path and every link hold records its
 spans — while leaving every simulated timestamp bit-identical (spans

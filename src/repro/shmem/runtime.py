@@ -30,14 +30,13 @@ from typing import Dict, Generator, Optional, Tuple
 
 from repro.cuda.memory import MemKind, Ptr
 from repro.errors import CompletionError, LinkDown, ShmemError
-from repro.hardware.links import chunked
+from repro.hardware.links import AnalyticFlow, chunked
 from repro.ib.mr import MemoryRegion
 from repro.ib.verbs import Endpoint, Verbs
 from repro.shmem.address import SymAddr
 from repro.shmem.capabilities import Capabilities
 from repro.shmem.constants import Config, Domain, Locality, Op, Protocol
 from repro.shmem.designs import DesignSpec, design_spec
-from repro.shmem.fastpath import AnalyticFlow
 from repro.shmem.heap import SymmetricHeap
 from repro.shmem.protocols import ProtocolSelector, Route, make_selector
 from repro.shmem.service import ServiceEngine, ServiceItem
@@ -576,20 +575,20 @@ class Runtime:
     def _fast_rdma_put(self, ctx, dst, src, nbytes, pe):
         """Analytic commit: replay a single-RDMA put — including
         its dispatch/lookup overheads — through an
-        :class:`~repro.shmem.fastpath.AnalyticFlow`.
+        :class:`~repro.hardware.links.AnalyticFlow`.
 
-        This works under link contention: the flow requests the same FIFO resources at the
-        same instants as the event path, so contended windows price
-        themselves bit-identically (see the AnalyticFlow docstring).
-        Returns ``(posted, route, t0)`` for the caller to yield/sample
-        on, or ``None`` to take the event path.  Declines whole-hog on
-        any validation error so the event path raises at the accurate
-        instant, and whenever :attr:`Simulator.analytic_ok` is false or
-        health tracking or RC retransmission are active — those layers
-        hook the event path.
+        This works under link contention: the flow's hold requests the
+        same FIFO resources at the same instants as the event path, so
+        contended windows price themselves bit-identically.  Returns
+        ``(posted, route, t0)`` for the caller to yield/sample on, or
+        ``None`` to take the event path.  Declines whole-hog on any
+        validation error so the event path raises at the accurate
+        instant, and whenever :attr:`Simulator.analytic_ok` is false
+        (an attached fault plan, which also arms health tracking and
+        RC retransmission, clears it).
         """
         sim = self.sim
-        if not sim.analytic_ok or self.health is not None or self.verbs.rc is not None:
+        if not sim.analytic_ok:
             return None
         alloc = src.alloc
         key = (ctx.pe, pe, alloc.kind, alloc.device_id, dst.domain, nbytes)
@@ -633,7 +632,6 @@ class Runtime:
             src_hca=ep.hca, dst_hca=dst_hca,
             notify=notify,
             dirs=dirs, duration=duration,
-            gate=True,
         )
         ctx.track(flow.completion)
         sim.stats.analytic_flows += 1

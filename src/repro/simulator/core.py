@@ -27,9 +27,10 @@ lives above the engine: :class:`~repro.obs.spans.SpanTracer` records
 op, work-request and link-hold intervals from the layers that know
 them, so the scheduler loop carries no observer hook.
 
-The analytic fast paths' wake-ups share the heap and its ``(time,
-seq)`` key, and so fire in exactly the order the event path's
-timeouts would; ``tests/test_property_simulator.py`` pins that order.
+The analytic replay's wake-ups (``AnalyticTransfer`` behind
+``TransferSpec.execute``, and the runtime's put envelope around it)
+share the heap and its ``(time, seq)`` key, and so fire in exactly the
+order the event path's timeouts would; ``tests/test_property_simulator.py`` pins that order.
 
 Virtual time is a ``float`` in **seconds**.  All hardware constants in
 :mod:`repro.hardware.params` are expressed in seconds / bytes-per-second
@@ -63,12 +64,13 @@ class SimStats:
     so a drop between two equivalent runs is direct evidence that a
     fast path elided events.
 
-    The analytic engine adds its own population counters:
-    ``analytic_flows`` counts transfers and RDMA operations replayed by
-    the callback-driven closed form (no Process, no per-hop generator
-    resumes), and ``contended_windows`` counts the subset whose link
-    grant was queued behind other traffic (the contended-window pricing
-    case).
+    The analytic replay adds its own population counters:
+    ``analytic_flows`` counts link holds replayed in closed form (no
+    per-hop generator resumes, no setup/hold timeouts) — one per
+    ``TransferSpec.execute`` under :attr:`Simulator.analytic_ok`, plus
+    one per put the runtime replays whole — and ``contended_windows``
+    counts the subset whose link grant was queued behind other traffic
+    (the contended-window pricing case).
 
     The reliability counters (``retries`` .. ``degraded_time``) are only
     ever non-zero when a :class:`repro.faults.FaultPlan` is attached:
@@ -368,14 +370,14 @@ class Simulator:
         self._active_process: Optional[Process] = None
         #: Span collector (:class:`repro.obs.spans.SpanTracer`) or None.
         #: Emission sites across the runtime/ib/hardware layers guard on
-        #: this; an attached tracer disarms the analytic fast paths (see
+        #: this; an attached tracer disarms the analytic replay (see
         #: :attr:`analytic_ok`) so spans map 1:1 onto event-accurate
         #: scheduling.
         self.tracer = None  # type: Optional[Any]
         self.stats = SimStats()
         self._flushed = SimStats()
-        #: Master switch for the analytic closed-form transfer paths in
-        #: the hardware/ib/runtime layers; tests flip this off to force
+        #: Master switch for the analytic replay (``TransferSpec.execute``
+        #: and the runtime's put commit); tests flip this off to force
         #: the event-accurate path.
         self.fastpath = True
         #: Set by :class:`repro.faults.FaultInjector` when a fault plan
@@ -386,10 +388,12 @@ class Simulator:
     def analytic_ok(self) -> bool:
         """May the analytic tier replay a transfer here?
 
-        The one eligibility policy every commit site shares: fast paths
-        on, no fault plan armed, and no span tracer attached (spans
-        describe the event path's holds).  Callers add only their own
-        layer's conditions (RC retransmission, path health).
+        The one eligibility policy, read by the two commit sites
+        (``TransferSpec.execute`` and ``Runtime._fast_rdma_put``): fast
+        paths on, no fault plan armed, and no span tracer attached
+        (spans describe the event path's holds).  Neither site adds a
+        condition of its own: the fault plan that arms RC
+        retransmission and path health also clears this.
         """
         return self.fastpath and not self.faults_active and self.tracer is None
 

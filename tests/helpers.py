@@ -2,10 +2,38 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.shmem import Domain, ShmemJob
+from repro.simulator import Simulator
 from repro.units import to_usec
+
+
+def on_both_paths(test):
+    """Run ``test(sim, ...)`` once per ``TransferSpec.execute`` body.
+
+    A bare :class:`Simulator` has :attr:`~Simulator.analytic_ok` set, so
+    ``execute`` would only ever replay through ``AnalyticTransfer``.  The
+    wrapped test gets a fresh simulator with ``sim.fastpath`` on, then
+    one with it off (the generator body); it keeps its name and its
+    remaining parameters for pytest and Hypothesis.
+    """
+    sig = inspect.signature(test)
+
+    def run(*args, **kwargs):
+        for fast in (True, False):
+            sim = Simulator()
+            sim.fastpath = fast
+            test(sim, *args, **kwargs)
+
+    run.__name__ = test.__name__
+    run.__qualname__ = test.__qualname__
+    run.__doc__ = test.__doc__
+    run.__module__ = test.__module__
+    run.__signature__ = sig.replace(parameters=list(sig.parameters.values())[1:])
+    return run
 
 
 def put_latency_program(nbytes, src_domain, dst_domain, target="far", fill=0xA5):

@@ -1,5 +1,11 @@
 """Tests for the byte-accurate memory model."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -125,3 +131,46 @@ def test_memkind_on_host():
     assert MemKind.HOST.on_host
     assert MemKind.SHM.on_host
     assert not MemKind.DEVICE.on_host
+
+
+_RELEASE_PROBE = """
+import gc, os
+from repro.cuda.memory import Allocation, MemKind, MemorySpace
+
+MiB = 1 << 20
+page = os.sysconf("SC_PAGE_SIZE")
+
+def resident():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * page
+
+space = MemorySpace()
+dead = [Allocation(space, MemKind.HOST, MiB, 0, 0) for _ in range(64)]
+for a in dead:
+    a.ptr().fill(0x5A)
+keep = Allocation(space, MemKind.HOST, MiB, 0, 0)
+keep.ptr().fill(0x5A)
+before = resident()
+del dead, a
+gc.collect()
+print((before - resident()) / MiB)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="probes glibc's malloc thresholds through /proc/self/statm",
+)
+def test_freed_buffers_return_to_the_kernel_below_a_live_one():
+    """Dead allocations give their pages back even when one allocated
+    after them stays alive.  With the mmap threshold raised (as glibc's
+    dynamic threshold does after the first large free), heap-backed
+    1 MiB buffers would sit on the brk heap below ``keep`` and never be
+    trimmed."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "MALLOC_MMAP_THRESHOLD_": str(32 << 20)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RELEASE_PROBE],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert float(proc.stdout) >= 60.0

@@ -1,7 +1,9 @@
-"""Equivalence tests for the analytic fast paths.
+"""Equivalence tests for the analytic replay.
 
-The closed-form replays (:class:`repro.shmem.fastpath.AnalyticFlow`,
-:class:`repro.hardware.links.AnalyticTransfer`) may change
+The closed-form replay (:class:`repro.hardware.links.AnalyticTransfer`,
+which ``TransferSpec.execute`` commits under ``Simulator.analytic_ok``,
+and :class:`~repro.hardware.links.AnalyticFlow`, the ``rdma_write``
+envelope the runtime's put commit wraps around one) may change
 *wall-clock* cost only; every simulated timestamp, byte, and counter
 must be identical to the event-accurate path.  Each scenario here runs
 twice — ``sim.fastpath`` on and off — and demands exact float equality
@@ -16,6 +18,7 @@ import pytest
 import repro.bench.latency as lat
 from repro.errors import ConfigurationError
 from repro.hardware.links import chunked
+from repro.hardware.params import wilkes_params
 from repro.shmem import Domain, ShmemJob
 from repro.units import KiB, MiB
 
@@ -369,19 +372,26 @@ def test_collective_closed_form_identical(coll):
     assert stats.analytic_flows > 0
 
 
-@pytest.mark.parametrize("design,ppn", [
-    ("enhanced-gdr", 3),
-    ("enhanced-gdr", 4),
-    ("device-initiated", 4),
+@pytest.mark.parametrize("design,ppn,params", [
+    pytest.param("enhanced-gdr", 3, None, id="enhanced-gdr-3"),
+    pytest.param("enhanced-gdr", 4, None, id="enhanced-gdr-4"),
+    pytest.param("device-initiated", 4, None, id="device-initiated-4"),
+    pytest.param(
+        "enhanced-gdr", 3,
+        wilkes_params(hca_tx_overhead=0.0, hca_rx_overhead=0.0),
+        id="enhanced-gdr-3-zero-setup",
+    ),
 ])
-def test_three_way_contention_grant_order_identical(design, ppn):
+def test_three_way_contention_grant_order_identical(design, ppn, params):
     """Regression: a GPU alltoall at 3+ PEs per node piles flows with
     *overlapping but distinct* direction sets onto shared links.  The
     analytic flows used to chain consecutive immediate grants inline
     within one callback, jumping ahead of same-instant parties whose
     resumes already sat in the ready queue — which flipped a FIFO grant
     the event path awarded the other way (first seen as a +115.7 ns
-    completion drift on a 2x3 568-byte alltoall)."""
+    completion drift on a 2x3 568-byte alltoall).  The zero-setup case
+    has no HCA setup leg, so each put's hold starts synchronously inside
+    its post instant rather than at a later wake-up."""
 
     def main(ctx):
         n = ctx.npes
@@ -394,7 +404,7 @@ def test_three_way_contention_grant_order_identical(design, ppn):
         return (ctx.now, dst.read(568 * n))
 
     stats = _ab_run(
-        lambda: ShmemJob(nodes=2, pes_per_node=ppn, design=design),
+        lambda: ShmemJob(nodes=2, pes_per_node=ppn, design=design, params=params),
         main,
     )
     assert stats.contended_windows > 0  # the grant queues really formed

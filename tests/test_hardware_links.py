@@ -6,6 +6,8 @@ from repro.errors import ConfigurationError, LinkDown
 from repro.hardware.links import Link, TransferSpec, chunked
 from repro.simulator import Simulator
 
+from .helpers import on_both_paths
+
 
 def test_transfer_spec_total_latency():
     sim = Simulator()
@@ -15,8 +17,8 @@ def test_transfer_spec_total_latency():
     assert spec.total_latency() == pytest.approx(5.0)
 
 
-def test_transfer_execute_charges_time():
-    sim = Simulator()
+@on_both_paths
+def test_transfer_execute_charges_time(sim):
     link = Link(sim, "l")
     spec = TransferSpec(100, setup=0.5).add(link.fwd, 1.0, 100.0)
 
@@ -31,8 +33,8 @@ def test_transfer_execute_charges_time():
     assert link.fwd.transfers == 1
 
 
-def test_link_direction_contention_serializes():
-    sim = Simulator()
+@on_both_paths
+def test_link_direction_contention_serializes(sim):
     link = Link(sim, "l")
     done = []
 
@@ -47,8 +49,8 @@ def test_link_direction_contention_serializes():
     assert done == [("a", 1.0), ("b", 2.0)]
 
 
-def test_link_directions_are_independent():
-    sim = Simulator()
+@on_both_paths
+def test_link_directions_are_independent(sim):
     link = Link(sim, "l")
     done = []
 
@@ -64,8 +66,8 @@ def test_link_directions_are_independent():
     assert done == [("fwd", 1.0), ("rev", 1.0)]
 
 
-def test_link_capacity_gt_one_overlaps():
-    sim = Simulator()
+@on_both_paths
+def test_link_capacity_gt_one_overlaps(sim):
     link = Link(sim, "l", capacity=2)
     done = []
 
@@ -93,9 +95,9 @@ def test_zero_bandwidth_means_latency_only():
     assert spec.total_latency() == pytest.approx(3.0)
 
 
-def test_multi_hop_cut_through():
+@on_both_paths
+def test_multi_hop_cut_through(sim):
     """Hops pipeline: latencies add, payload streams at the bottleneck."""
-    sim = Simulator()
     a, b = Link(sim, "a"), Link(sim, "b")
     spec = TransferSpec(100).add(a.fwd, 1.0, 100.0).add(b.fwd, 1.0, 50.0)
     # 1 + 1 latency, 100 bytes at min(100, 50) B/s = 2s -> 4s total
@@ -123,9 +125,9 @@ def test_extend_merges_specs():
         s1.extend(TransferSpec(7))
 
 
-def test_multi_hop_same_direction_counted_once():
+@on_both_paths
+def test_multi_hop_same_direction_counted_once(sim):
     """A path that crosses the same direction twice must not deadlock."""
-    sim = Simulator()
     a = Link(sim, "a")
     spec = TransferSpec(100).add(a.fwd, 1.0, 100.0).add(a.fwd, 1.0, 100.0)
 
@@ -139,8 +141,8 @@ def test_multi_hop_same_direction_counted_once():
     assert a.fwd.transfers == 1
 
 
-def test_link_failure_injection():
-    sim = Simulator()
+@on_both_paths
+def test_link_failure_injection(sim):
     link = Link(sim, "l")
     link.fwd.fail()
     assert link.fwd.is_down
@@ -159,11 +161,11 @@ def test_link_failure_injection():
     assert not link.fwd.is_down
 
 
-def test_link_failure_mid_queue():
+@on_both_paths
+def test_link_failure_mid_queue(sim):
     """A failure mid-hold kills the in-flight transfer (payload lost at
     the physical layer), and a transfer queued behind it sees the
     failure on grant."""
-    sim = Simulator()
     link = Link(sim, "l")
     results = []
 
@@ -195,12 +197,12 @@ def test_link_failure_mid_queue():
     assert results == ["holder-lost", "victim-down"]
 
 
-def test_repair_does_not_resurrect_inflight_transfer():
+@on_both_paths
+def test_repair_does_not_resurrect_inflight_transfer(sim):
     """Repairing mid-transfer must not let a transfer that overlapped
     the down-window complete as if nothing happened: its payload was on
     the wire when the link dropped.  Transfers started after the repair
     succeed normally."""
-    sim = Simulator()
     link = Link(sim, "l")
     results = []
 
@@ -230,10 +232,10 @@ def test_repair_does_not_resurrect_inflight_transfer():
     assert results == [("holder-lost", 1.0), "retry-done"]
 
 
-def test_label_scoped_failure():
+@on_both_paths
+def test_label_scoped_failure(sim):
     """A labelled failure only downs transfers whose label matches the
     prefix; other traffic on the same direction keeps flowing."""
-    sim = Simulator()
     link = Link(sim, "l")
     link.fwd.fail("gdrP2P")
     assert link.fwd.blocks("gdrP2Pwrite")

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.links import Link, TransferSpec, chunked
-from repro.simulator import Simulator
+
+from .helpers import on_both_paths
 
 
 @given(
@@ -16,9 +17,9 @@ from repro.simulator import Simulator
     ),
 )
 @settings(max_examples=60, deadline=None)
-def test_uncontended_execute_matches_total_latency(nbytes, setup, hops):
+@on_both_paths
+def test_uncontended_execute_matches_total_latency(sim, nbytes, setup, hops):
     """With no competing traffic, execute() takes exactly total_latency()."""
-    sim = Simulator()
     spec = TransferSpec(nbytes, setup=setup)
     for i, (lat, bw) in enumerate(hops):
         spec.add(Link(sim, f"l{i}").fwd, lat, bw)
@@ -37,9 +38,9 @@ def test_uncontended_execute_matches_total_latency(nbytes, setup, hops):
     nflows=st.integers(1, 6),
 )
 @settings(max_examples=40, deadline=None)
-def test_serialized_flows_sum_exactly(nbytes, nflows):
+@on_both_paths
+def test_serialized_flows_sum_exactly(sim, nbytes, nflows):
     """N equal flows over one direction finish in exactly N x one flow."""
-    sim = Simulator()
     link = Link(sim, "l")
     one = TransferSpec(nbytes).add(link.fwd, 1e-6, 1e9).total_latency()
 
@@ -67,9 +68,9 @@ def test_chunked_partitions_exactly(nbytes, chunk):
     sizes=st.lists(st.integers(1, 1 << 20), min_size=2, max_size=5),
 )
 @settings(max_examples=40, deadline=None)
-def test_fifo_grant_order_over_one_direction(sizes):
+@on_both_paths
+def test_fifo_grant_order_over_one_direction(sim, sizes):
     """Transfers queued on one direction complete in submission order."""
-    sim = Simulator()
     link = Link(sim, "l")
     done = []
 
